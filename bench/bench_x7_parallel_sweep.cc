@@ -2,7 +2,7 @@
 // device-shaped IO.
 //
 // On the zero-latency MemEnv a parallel sweep cannot win: every IO is a
-// memcpy under one env mutex, so extra workers only add contention. The
+// memcpy with no device time to overlap, so extra workers just contend. The
 // win the paper's arithmetic predicts appears once IO has device shape —
 // seek + transfer + sync time that concurrent per-partition streams can
 // overlap. This benchmark wraps MemEnv in a LatencyEnv with the HDD

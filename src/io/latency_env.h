@@ -47,7 +47,7 @@ struct LatencyEnvStats {
 ///
 /// The sleep happens BEFORE the inner call, outside whatever lock the
 /// inner env takes — so concurrent sweep workers overlap their simulated
-/// device time instead of serializing it behind MemEnv's env-wide mutex.
+/// device time instead of serializing it behind a per-file lock.
 /// That property is what makes parallel-sweep speedups measurable on an
 /// in-memory base env.
 class LatencyEnv : public Env {

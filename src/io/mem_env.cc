@@ -2,20 +2,23 @@
 
 #include <algorithm>
 #include <cstring>
+#include <shared_mutex>
 #include <utility>
 #include <vector>
 
 namespace llb {
 
-/// A file in MemEnv. Thread-safe: the env mutex guards all file state
-/// (files are few and operations short; a single lock keeps the crash
-/// transition atomic with respect to in-flight IO).
+/// A file in MemEnv. Thread-safe: every op holds the env's crash gate
+/// shared (so CrashAndRestart never sees it half done), then this file's
+/// own lock: shared for reads and Size, exclusive for mutations and Sync.
+/// Ops on different files run in parallel.
 class MemFile : public File {
  public:
   explicit MemFile(MemEnv* env) : env_(env) {}
 
   Status ReadAt(uint64_t offset, size_t n, std::string* out) const override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    ReadLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     if (offset >= data_.size()) return Status::OK();
     size_t avail = std::min<uint64_t>(n, data_.size() - offset);
@@ -25,7 +28,8 @@ class MemFile : public File {
 
   Status ReadAtv(uint64_t offset,
                  const std::vector<IoBuffer>& chunks) const override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    ReadLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     for (const IoBuffer& chunk : chunks) {
       size_t avail = offset < data_.size()
@@ -41,7 +45,8 @@ class MemFile : public File {
   }
 
   Status WriteAt(uint64_t offset, Slice data) override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    WriteLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     if (offset + data.size() > data_.size()) {
       data_.resize(offset + data.size(), '\0');
@@ -53,7 +58,8 @@ class MemFile : public File {
 
   Status WriteAtv(uint64_t offset,
                   const std::vector<Slice>& chunks) override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    WriteLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     size_t total = 0;
     for (const Slice& chunk : chunks) total += chunk.size();
@@ -72,7 +78,8 @@ class MemFile : public File {
   }
 
   Status Append(Slice data) override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    WriteLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     MarkDirty(data_.size(), data.size());
     data_.append(data.data(), data.size());
@@ -80,7 +87,8 @@ class MemFile : public File {
   }
 
   Status Sync() override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    WriteLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     uint64_t delta =
         data_.size() >= durable_.size() ? data_.size() - durable_.size() : 0;
@@ -103,13 +111,15 @@ class MemFile : public File {
   }
 
   Result<uint64_t> Size() const override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    ReadLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     return uint64_t{data_.size()};
   }
 
   Status Truncate(uint64_t size) override {
-    std::lock_guard<std::mutex> lock(env_->mu_);
+    ReadLock gate(env_->crash_gate_);
+    WriteLock lock(mu_);
     if (!env_->IoAllowed()) return Status::IoError("simulated device failure");
     uint64_t old_size = data_.size();
     data_.resize(size, '\0');
@@ -119,8 +129,10 @@ class MemFile : public File {
 
  private:
   friend class MemEnv;
+  using ReadLock = std::shared_lock<std::shared_mutex>;
+  using WriteLock = std::unique_lock<std::shared_mutex>;
 
-  // mu_ held by callers.
+  // mu_ held exclusive by callers.
   void MarkDirty(uint64_t offset, uint64_t length) {
     if (length == 0) return;
     // Coalesce with the previous range when adjacent/overlapping (the
@@ -139,12 +151,14 @@ class MemFile : public File {
     dirty_ranges_.emplace_back(offset, length);
   }
 
+  // The crash gate held exclusive by the caller: no op is in flight.
   void OnCrashRestart() {
     data_ = durable_;
     dirty_ranges_.clear();
   }
 
   MemEnv* const env_;
+  mutable std::shared_mutex mu_;
   std::string data_;     // volatile contents
   std::string durable_;  // last synced snapshot
   std::vector<std::pair<uint64_t, uint64_t>> dirty_ranges_;  // since sync
@@ -193,36 +207,41 @@ std::vector<std::string> MemEnv::ListFiles() const {
 }
 
 void MemEnv::SetFaultInjector(FaultInjector* injector) {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(event_mu_);
   injector_ = injector;
 }
 
 void MemEnv::CrashAndRestart() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, file] : files_) {
-    file->OnCrashRestart();
+  std::unique_lock<std::shared_mutex> gate(crash_gate_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [name, file] : files_) {
+      file->OnCrashRestart();
+    }
   }
+  std::lock_guard<std::mutex> lock(event_mu_);
   blocked_ = false;
   injector_ = nullptr;
 }
 
 uint64_t MemEnv::durable_events() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(event_mu_);
   return durable_events_;
 }
 
 uint64_t MemEnv::bytes_synced() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(event_mu_);
   return bytes_synced_;
 }
 
-bool MemEnv::io_blocked() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return blocked_;
-}
+bool MemEnv::io_blocked() const { return blocked_; }
 
 bool MemEnv::BeginDurableEvent(uint64_t bytes) {
-  // mu_ held by caller (file method).
+  // Caller holds the crash gate shared and its file lock exclusive. The
+  // re-check under event_mu_ orders this event against a veto on any
+  // other file: once one event is refused, none after it succeeds.
+  std::lock_guard<std::mutex> lock(event_mu_);
+  if (blocked_) return false;
   if (injector_ != nullptr && !injector_->AllowDurableEvent()) {
     blocked_ = true;
     return false;

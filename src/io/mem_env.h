@@ -1,10 +1,12 @@
 #ifndef LLB_IO_MEM_ENV_H_
 #define LLB_IO_MEM_ENV_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,15 @@ class MemFile;
 ///  * an optional FaultInjector can veto durability events, after which
 ///    the whole env rejects IO until CrashAndRestart — this is how the
 ///    recovery property tests sweep "crash after the k-th stable write".
+///
+/// Locking (DESIGN.md §5b): each file's contents sit behind that file's
+/// own reader/writer lock, so IO on different files never serializes, as
+/// on a real device. Every file op also holds the env's crash gate
+/// shared; CrashAndRestart takes it exclusive, so the crash transition is
+/// atomic with respect to in-flight IO. Durability events are totally
+/// ordered under a small event mutex, and none succeeds after a veto.
+/// Lock order: crash gate -> file lock -> event mutex; the namespace
+/// mutex nests only inside the crash gate.
 class MemEnv : public Env {
  public:
   MemEnv() = default;
@@ -64,16 +75,22 @@ class MemEnv : public Env {
   friend class MemFile;
 
   // Called by files before persisting. Returns false (and blocks future
-  // IO) if the injector vetoes the event.
+  // IO) if the env is already blocked or the injector vetoes the event.
   bool BeginDurableEvent(uint64_t bytes);
   bool IoAllowed() const;
 
+  // Held shared by every file op, exclusive by CrashAndRestart.
+  mutable std::shared_mutex crash_gate_;
+  // Guards the namespace map only.
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<MemFile>> files_;
+  // Guards the injector and the durable counters.
+  mutable std::mutex event_mu_;
   FaultInjector* injector_ = nullptr;
-  bool blocked_ = false;
   uint64_t durable_events_ = 0;
   uint64_t bytes_synced_ = 0;
+  // Set under event_mu_ on a veto; read lock-free by every file op.
+  std::atomic<bool> blocked_{false};
 };
 
 }  // namespace llb

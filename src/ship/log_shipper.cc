@@ -31,7 +31,7 @@ Status LogShipper::Attach() {
     cursor_lsn_ = 0;
     // Frames left queued by a prior Detach were never durably sent, so the
     // cursor still covers them; the catch-up scan below re-ships that
-    // ground under fresh seqs.
+    // ground.
     outbox_.clear();
     Result<std::string> payload =
         DurableCursor::Load(env_, CursorName(primary_name_));
@@ -50,7 +50,6 @@ Status LogShipper::Attach() {
                !payload.status().IsCorruption()) {
       return payload.status();
     }
-    next_seq_ = cursor_seq_ + 1;
     stats_.last_shipped_lsn = cursor_lsn_;
   }
 
@@ -68,7 +67,6 @@ Status LogShipper::Attach() {
     std::lock_guard<std::mutex> inner(mu_);
     ++stats_.segments_sealed;
     ShipFrame frame;
-    frame.seq = next_seq_++;
     frame.first_lsn = segment.first_lsn;
     frame.last_lsn = segment.last_lsn;
     frame.bytes = segment.bytes;
@@ -105,7 +103,6 @@ Status LogShipper::Attach() {
     std::lock_guard<std::mutex> lock(mu_);
     if (!catchup.empty()) {
       ShipFrame frame;
-      frame.seq = next_seq_++;
       frame.first_lsn = catchup_first;
       frame.last_lsn = catchup_last;
       frame.bytes = std::move(catchup);
@@ -150,7 +147,6 @@ Status LogShipper::Resync(Lsn from_lsn) {
   if (bytes.empty()) return Status::OK();
   std::lock_guard<std::mutex> lock(mu_);
   ShipFrame frame;
-  frame.seq = next_seq_++;
   frame.first_lsn = first;
   frame.last_lsn = last;
   frame.bytes = std::move(bytes);
@@ -177,6 +173,14 @@ Status LogShipper::SendWithRetry(const ShipFrame& frame) {
 }
 
 Status LogShipper::SaveCursor(uint64_t seq, Lsn lsn) {
+  {
+    // A cursor that went back would let a later Attach reuse seqs the
+    // applier has already consumed.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (seq <= cursor_seq_) {
+      return Status::FailedPrecondition("ship cursor seq regression");
+    }
+  }
   std::string payload;
   PutFixed64(&payload, seq);
   PutFixed64(&payload, lsn);
@@ -186,9 +190,14 @@ Status LogShipper::SaveCursor(uint64_t seq, Lsn lsn) {
 Status LogShipper::Pump() {
   std::unique_lock<std::mutex> lock(mu_);
   while (!outbox_.empty()) {
-    // Sends run without the mutex so the seal observer (under the log
-    // mutex) never waits on channel IO.
+    // Seqs are stamped here, at send time, so they follow the outbox
+    // (LSN) order however the catch-up frame and observer frames raced
+    // into it. A frame whose send or cursor save failed keeps its seq on
+    // the next Pump; re-sending a seq overwrites. Sends run without the
+    // mutex so the seal observer (under the log mutex) never waits on
+    // channel IO.
     ShipFrame frame = outbox_.front();
+    frame.seq = cursor_seq_ + 1;
     lock.unlock();
     Status s = SendWithRetry(frame);
     if (!s.ok()) return s;  // frame stays queued for the next Pump

@@ -76,9 +76,11 @@ class LogShipper {
   void Detach();
 
   /// Drains queued segments into the channel with bounded retry, then
-  /// durably advances the cursor. Returns non-OK when a frame exhausted
-  /// its retries (frame stays queued; call Pump again) or the cursor
-  /// save failed.
+  /// durably advances the cursor. Each frame's seq is stamped at send
+  /// time as cursor seq + 1, so seqs stay dense and in LSN order and the
+  /// durable cursor seq never goes back. Returns non-OK when a frame
+  /// exhausted its retries (frame stays queued; call Pump again) or the
+  /// cursor save failed.
   Status Pump();
 
   /// Re-queues a catch-up frame covering [from_lsn, durable tail] built
@@ -109,10 +111,9 @@ class LogShipper {
 
   mutable std::mutex mu_;
   bool attached_ = false;
-  std::deque<ShipFrame> outbox_;
-  uint64_t next_seq_ = 1;        // seq for the next enqueued frame
-  Lsn cursor_lsn_ = 0;           // durably shipped through here
-  uint64_t cursor_seq_ = 0;      // highest seq covered by the cursor
+  std::deque<ShipFrame> outbox_;  // seqs unset until Pump sends them
+  Lsn cursor_lsn_ = 0;            // durably shipped through here
+  uint64_t cursor_seq_ = 0;       // highest seq covered by the cursor
   ShipStats stats_;
 };
 

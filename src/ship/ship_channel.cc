@@ -1,5 +1,6 @@
 #include "ship/ship_channel.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/coding.h"
@@ -75,6 +76,7 @@ Status FileShipChannel::Send(const ShipFrame& frame) {
 }
 
 Status FileShipChannel::Poll(uint64_t from_seq, std::vector<ShipFrame>* out) {
+  const size_t first = out->size();
   for (const std::string& name : env_->ListFiles()) {
     uint64_t seq = 0;
     if (!ParseFrameSeq(prefix_, name, &seq) || seq < from_seq) continue;
@@ -91,6 +93,12 @@ Status FileShipChannel::Poll(uint64_t from_seq, std::vector<ShipFrame>* out) {
     if (frame.seq != seq) continue;
     out->push_back(std::move(frame));
   }
+  // Spool names list in string order ("f10" before "f2"); hand frames
+  // back in seq order, as InProcessShipChannel does.
+  std::sort(out->begin() + first, out->end(),
+            [](const ShipFrame& a, const ShipFrame& b) {
+              return a.seq < b.seq;
+            });
   return Status::OK();
 }
 

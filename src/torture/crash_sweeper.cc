@@ -812,6 +812,14 @@ Status CrashSweeper::RunScenario(TortureEngine* e) const {
       const Lsn pitr_target = db->log()->durable_lsn();
       LLB_RETURN_IF_ERROR(replicate());
 
+      // Re-attach: the shipper resumes from its durable cursor (nothing to
+      // catch up, so no durability event). The frames it sends next must
+      // continue the cursor's seqs, or the applier, polling from its
+      // highest consumed seq + 1, never sees them and the drain below
+      // leaves a lag.
+      shipper.Detach();
+      LLB_RETURN_IF_ERROR(shipper.Attach());
+
       // Updates past the PITR point, then a full drain to zero lag.
       LLB_RETURN_IF_ERROR(workload->Update(scenario_.updates_post));
       LLB_RETURN_IF_ERROR(db->ForceLog());

@@ -67,7 +67,7 @@ TEST_P(BtreeModelTest, MixedWorkloadMatchesReferenceModel) {
     double dice = rng.NextDouble();
     int64_t key = static_cast<int64_t>(rng.Uniform(1200));
     if (dice < 0.6) {
-      std::string value = "v" + std::to_string(rng.Uniform(100000));
+      std::string value = Numbered("v", rng.Uniform(100000));
       ASSERT_OK(tree->Insert(key, value));
       model[key] = value;
     } else if (dice < 0.8) {
@@ -111,7 +111,7 @@ TEST_P(BtreeModelTest, MixedWorkloadMatchesReferenceModel) {
     for (int i = 0; i < 25; ++i) {
       int64_t key = static_cast<int64_t>(rng.Uniform(1200));
       if (rng.Bernoulli(0.7)) {
-        std::string value = "m" + std::to_string(rng.Uniform(100000));
+        std::string value = Numbered("m", rng.Uniform(100000));
         LLB_RETURN_IF_ERROR(tree->Insert(key, value));
         model[key] = value;
       } else if (model.count(key)) {

@@ -151,7 +151,7 @@ TEST_P(BtreeTest, ManyInsertsSplitAndStayConsistent) {
   std::map<int64_t, std::string> expected;
   for (int64_t k = 0; k < 1000; ++k) {
     int64_t key = (k * 7919) % 10007;  // scrambled order
-    std::string value = "v" + std::to_string(key);
+    std::string value = Numbered("v", key);
     ASSERT_OK(tree_->Insert(key, value));
     expected[key] = value;
   }
@@ -169,7 +169,7 @@ TEST_P(BtreeTest, ManyInsertsSplitAndStayConsistent) {
 
 TEST_P(BtreeTest, ScanReturnsSortedRange) {
   for (int64_t k = 0; k < 500; ++k) {
-    ASSERT_OK(tree_->Insert(k * 2, "e" + std::to_string(k)));
+    ASSERT_OK(tree_->Insert(k * 2, Numbered("e", k)));
   }
   std::vector<std::pair<int64_t, std::string>> out;
   ASSERT_OK(tree_->Scan(100, 120, &out));
@@ -190,14 +190,14 @@ TEST_P(BtreeTest, SequentialInsertsGrowHeight) {
 
 TEST_P(BtreeTest, SurvivesCrashAndRecovery) {
   for (int64_t k = 0; k < 300; ++k) {
-    ASSERT_OK(tree_->Insert(k, "v" + std::to_string(k)));
+    ASSERT_OK(tree_->Insert(k, Numbered("v", k)));
   }
   ASSERT_OK(engine_->db()->FlushAll());
   ASSERT_OK(engine_->CrashAndRecover());
   BTree reopened(engine_->db(), 0, 0, GetParam());
   for (int64_t k = 0; k < 300; ++k) {
     ASSERT_OK_AND_ASSIGN(std::string value, reopened.Get(k));
-    EXPECT_EQ(value, "v" + std::to_string(k));
+    EXPECT_EQ(value, Numbered("v", k));
   }
   ASSERT_OK(reopened.CheckInvariants().status());
 }

@@ -148,7 +148,7 @@ TEST_F(CacheTest, FlushRespectsWriteGraphOrder) {
 TEST_F(CacheTest, FlushAllCleansEverything) {
   Init(BackupPolicy::kGeneral);
   for (uint32_t i = 1; i <= 10; ++i) {
-    ASSERT_OK(WritePageOp(i, "x" + std::to_string(i)));
+    ASSERT_OK(WritePageOp(i, Numbered("x", i)));
   }
   ASSERT_OK(cache_->FlushAll());
   for (uint32_t i = 1; i <= 10; ++i) EXPECT_FALSE(cache_->IsDirty(P(i)));
@@ -158,7 +158,7 @@ TEST_F(CacheTest, FlushAllCleansEverything) {
 TEST_F(CacheTest, EvictionFlushesDirtyVictims) {
   Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/8);
   for (uint32_t i = 1; i <= 32; ++i) {
-    ASSERT_OK(WritePageOp(i, "v" + std::to_string(i)));
+    ASSERT_OK(WritePageOp(i, Numbered("v", i)));
   }
   EXPECT_LE(cache_->CachedPageCount(), 8u);
   // Every page readable with its own value (read-through after evict).
@@ -166,7 +166,7 @@ TEST_F(CacheTest, EvictionFlushesDirtyVictims) {
     PageImage page;
     ASSERT_OK(cache_->ReadPage(P(i), &page));
     EXPECT_EQ(page.payload().ToString().substr(0, 1 + (i >= 10 ? 2 : 1)),
-              "v" + std::to_string(i));
+              Numbered("v", i));
   }
   EXPECT_GT(cache_->stats().evictions, 0u);
 }

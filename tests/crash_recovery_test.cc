@@ -95,7 +95,7 @@ TEST(CrashRecoveryTest, BtreeWorkloadSweep) {
     BTree tree(engine->db(), 0, 0, SplitLogging::kLogical);
     LLB_RETURN_IF_ERROR(tree.Create());
     for (int64_t k = 0; k < 220; ++k) {
-      LLB_RETURN_IF_ERROR(tree.Insert((k * 37) % 1009, "v" + std::to_string(k)));
+      LLB_RETURN_IF_ERROR(tree.Insert((k * 37) % 1009, Numbered("v", k)));
       if (k % 40 == 13) LLB_RETURN_IF_ERROR(engine->db()->FlushAll());
       if (k % 50 == 27) LLB_RETURN_IF_ERROR(engine->db()->Checkpoint());
     }
@@ -153,7 +153,7 @@ TEST(CrashRecoveryTest, RecoveryIsIdempotentAcrossRepeatedCrashes) {
   BTree tree(engine->db(), 0, 0, SplitLogging::kLogical);
   ASSERT_OK(tree.Create());
   for (int64_t k = 0; k < 150; ++k) {
-    ASSERT_OK(tree.Insert(k, "v" + std::to_string(k)));
+    ASSERT_OK(tree.Insert(k, Numbered("v", k)));
   }
   ASSERT_OK(engine->db()->ForceLog());
   for (int round = 0; round < 3; ++round) {

@@ -32,7 +32,7 @@ TEST(IntegrationTest, MultiplePartitionsHostDifferentDomains) {
   ASSERT_OK(tree.Create());
   ASSERT_OK(apps.InitApp(0));
   for (int i = 0; i < 400; ++i) {
-    ASSERT_OK(tree.Insert(i, "t" + std::to_string(i)));
+    ASSERT_OK(tree.Insert(i, Numbered("t", i)));
     if (i % 10 == 0) {
       ASSERT_OK(files.WriteValues(i % 16, {i, i + 1, i + 2}));
     }

@@ -128,7 +128,10 @@ TEST(ShipFrameTest, DetectsCorruptionAndTruncation) {
 TEST(ShipChannelTest, FileChannelSendPollTrim) {
   MemEnv env;
   FileShipChannel channel(&env, "spool");
-  for (uint64_t seq = 1; seq <= 3; ++seq) {
+  // Twelve frames, so two-digit seqs exist: the spool lists "f10" before
+  // "f2", and Poll must still hand frames back in seq order.
+  constexpr uint64_t kFrames = 12;
+  for (uint64_t seq = 1; seq <= kFrames; ++seq) {
     ShipFrame frame;
     frame.seq = seq;
     frame.first_lsn = seq * 10;
@@ -138,18 +141,23 @@ TEST(ShipChannelTest, FileChannelSendPollTrim) {
   }
   std::vector<ShipFrame> polled;
   ASSERT_OK(channel.Poll(1, &polled));
-  EXPECT_EQ(polled.size(), 3u);
+  ASSERT_EQ(polled.size(), kFrames);
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    EXPECT_EQ(polled[i].seq, i + 1) << "position " << i;
+  }
   polled.clear();
-  ASSERT_OK(channel.Poll(3, &polled));
+  ASSERT_OK(channel.Poll(kFrames, &polled));
   ASSERT_EQ(polled.size(), 1u);
-  EXPECT_EQ(polled[0].seq, 3u);
-  EXPECT_EQ(polled[0].bytes, "seg3");
+  EXPECT_EQ(polled[0].seq, kFrames);
+  EXPECT_EQ(polled[0].bytes, "seg12");
 
   ASSERT_OK(channel.Trim(2));
   polled.clear();
   ASSERT_OK(channel.Poll(1, &polled));
-  ASSERT_EQ(polled.size(), 1u);
-  EXPECT_EQ(polled[0].seq, 3u);
+  ASSERT_EQ(polled.size(), kFrames - 2);
+  for (uint64_t i = 0; i < polled.size(); ++i) {
+    EXPECT_EQ(polled[i].seq, i + 3) << "position " << i;
+  }
   // Trimming already-trimmed ground is a no-op, not an error.
   ASSERT_OK(channel.Trim(2));
 }

@@ -111,7 +111,7 @@ TEST_F(PageStoreTest, PageWriteIsDurableImmediately) {
 TEST_F(PageStoreTest, BatchWritesAllPages) {
   std::vector<PageStore::Entry> batch;
   for (uint32_t i = 0; i < 5; ++i) {
-    batch.push_back({PageId{0, i}, MakePage("p" + std::to_string(i), i + 1)});
+    batch.push_back({PageId{0, i}, MakePage(Numbered("p", i), i + 1)});
   }
   ASSERT_OK(store_->WriteBatchAtomic(batch));
   for (uint32_t i = 0; i < 5; ++i) {
