@@ -137,32 +137,23 @@ Status BackupScrubber::RepairPageFromLog(PageStore* store,
   // re-execute the partition's log history from LSN 1 onto an empty
   // scratch store. Sound only if the log still reaches back to its first
   // record.
-  if (options_.registry != nullptr) {
-    Lsn first = kInvalidLsn;
-    Status scan = options_.log->Scan(1, [&](const LogRecord& rec) {
-      first = rec.lsn;
-      // Sentinel abort: one record is all we need.
-      return Status::FailedPrecondition("first record found");
-    });
-    if (!scan.ok() && first == kInvalidLsn) return scan;
-    if (first == 1) {
-      const std::string scratch_prefix = manifest.name + ".scrub_scratch";
-      RemoveStoreFiles(env_, scratch_prefix, manifest.partitions);
-      LLB_ASSIGN_OR_RETURN(
-          std::unique_ptr<PageStore> scratch,
-          PageStore::Open(env_, scratch_prefix, manifest.partitions));
-      PartitionId part = id.partition;
-      Result<RedoReport> redo =
-          RunRedoRange(*options_.log, *options_.registry, scratch.get(),
-                       /*start_lsn=*/1, kInvalidLsn, &part,
-                       /*use_identity_seeds=*/false);
-      Status read;
-      if (redo.ok()) read = scratch->ReadPage(id, &image);
-      scratch.reset();
-      RemoveStoreFiles(env_, scratch_prefix, manifest.partitions);
-      if (!redo.ok()) return redo.status();
-      if (read.ok()) have_image = true;
-    }
+  if (options_.registry != nullptr && options_.log->first_lsn() == 1) {
+    const std::string scratch_prefix = manifest.name + ".scrub_scratch";
+    RemoveStoreFiles(env_, scratch_prefix, manifest.partitions);
+    LLB_ASSIGN_OR_RETURN(
+        std::unique_ptr<PageStore> scratch,
+        PageStore::Open(env_, scratch_prefix, manifest.partitions));
+    PartitionId part = id.partition;
+    Result<RedoReport> redo =
+        RunRedoRange(*options_.log, *options_.registry, scratch.get(),
+                     /*start_lsn=*/1, kInvalidLsn, &part,
+                     /*use_identity_seeds=*/false);
+    Status read;
+    if (redo.ok()) read = scratch->ReadPage(id, &image);
+    scratch.reset();
+    RemoveStoreFiles(env_, scratch_prefix, manifest.partitions);
+    if (!redo.ok()) return redo.status();
+    if (read.ok()) have_image = true;
   }
 
   if (!have_image) {

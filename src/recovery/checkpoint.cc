@@ -1,18 +1,9 @@
 #include "recovery/checkpoint.h"
 
-#include "common/coding.h"
-
 namespace llb {
 
 Result<Lsn> FindCrashRedoStart(const LogManager& log) {
-  Lsn start = 1;
-  LLB_RETURN_IF_ERROR(log.Scan(1, [&](const LogRecord& rec) {
-    if (rec.IsCheckpoint() && rec.payload.size() >= 8) {
-      start = DecodeFixed64(rec.payload.data());
-    }
-    return Status::OK();
-  }));
-  return start;
+  return log.checkpoint_redo_start();
 }
 
 }  // namespace llb

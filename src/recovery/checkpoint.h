@@ -8,7 +8,8 @@
 namespace llb {
 
 /// Finds the crash-recovery redo scan start: the value recorded by the
-/// most recent (fuzzy) checkpoint record, or LSN 1 when none exists.
+/// most recent durable (fuzzy) checkpoint record, or LSN 1 when none
+/// exists. O(1): the log manager tracks it as checkpoints are sealed.
 ///
 /// Checkpoints are an optimization only — the per-target LSN redo test
 /// makes a scan from LSN 1 always correct (installed operations find all

@@ -154,11 +154,11 @@ Status InstantRestorer::Init() {
   // [newest.start_lsn, recovery_tail] for the restore's whole lifetime —
   // closures and replays never race the live log.
   LLB_RETURN_IF_ERROR(
-      log_->Scan(plan_.newest().start_lsn, [&](const LogRecord& rec) {
+      log_->Scan(plan_.newest().start_lsn, [&](LogRecord&& rec) {
         if (rec.lsn > recovery_tail_ || rec.IsCheckpoint()) {
           return Status::OK();
         }
-        slice_.push_back(rec);
+        slice_.push_back(std::move(rec));
         return Status::OK();
       }));
   return Status::OK();

@@ -14,31 +14,6 @@
 
 namespace llb {
 
-namespace {
-
-// After a point-in-time restore, the excluded log suffix must go away —
-// otherwise the next crash recovery would replay it and undo the PITR.
-Status TruncateLogAfter(Env* env, const std::string& log_name, Lsn cut) {
-  LLB_ASSIGN_OR_RETURN(std::shared_ptr<File> file,
-                       env->OpenFile(log_name, /*create=*/false));
-  LLB_ASSIGN_OR_RETURN(uint64_t size, file->Size());
-  std::string contents;
-  LLB_RETURN_IF_ERROR(file->ReadAt(0, size, &contents));
-  Slice cursor(contents);
-  uint64_t keep = 0;
-  LogRecord rec;
-  while (!cursor.empty()) {
-    size_t before = cursor.size();
-    if (!LogRecord::DecodeFrom(&cursor, &rec).ok()) break;
-    if (rec.lsn > cut) break;
-    keep += before - cursor.size();
-  }
-  LLB_RETURN_IF_ERROR(file->Truncate(keep));
-  return file->Sync();
-}
-
-}  // namespace
-
 Result<RestoreChainPlan> LoadRestoreChain(Env* env,
                                           const std::string& backup_name) {
   RestoreChainPlan plan;
@@ -164,11 +139,12 @@ Result<MediaRecoveryReport> RestoreFromBackupWithOptions(
       RunRedoRange(*log, registry, stable.get(), newest.start_lsn,
                    options.stop_at_lsn, only));
 
-  // Point-in-time recovery discards the excluded log suffix (a partition-
-  // only restore must NOT: other partitions still need those records).
+  // Point-in-time recovery discards the excluded log suffix — otherwise
+  // the next crash recovery would replay it and undo the PITR (a
+  // partition-only restore must NOT: other partitions still need those
+  // records).
   if (options.stop_at_lsn != kInvalidLsn && !options.partition_only) {
-    log.reset();
-    LLB_RETURN_IF_ERROR(TruncateLogAfter(env, log_name, options.stop_at_lsn));
+    LLB_RETURN_IF_ERROR(log->TruncateAfter(options.stop_at_lsn));
   }
   return report;
 }

@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <unordered_map>
+#include <vector>
 
 #include "recovery/log_applier.h"
 #include "storage/page.h"
@@ -33,22 +34,19 @@ Result<RedoReport> RunRedoRange(const LogManager& log,
     return true;
   };
 
-  // Pass 1: last identity value per page.
-  struct Seed {
-    Lsn lsn;
-    std::string value;
-  };
-  std::unordered_map<PageId, Seed, PageIdHash> seeds;
-  if (use_identity_seeds) {
-    LLB_RETURN_IF_ERROR(log.Scan(start_lsn, [&](const LogRecord& rec) {
-      if (!in_scope(rec)) return Status::OK();
-      if (rec.IsIdentityWrite() && rec.writeset.size() == 1) {
-        Seed& seed = seeds[rec.writeset[0]];
-        if (rec.lsn >= seed.lsn) seed = Seed{rec.lsn, rec.payload};
-      }
-      return Status::OK();
-    }));
-  }
+  // One read of the log tail; both passes run over the records decoded
+  // here. Seeding pass: the last identity write per page, by position.
+  std::vector<LogRecord> tail;
+  std::unordered_map<PageId, size_t, PageIdHash> seeds;
+  LLB_RETURN_IF_ERROR(log.Scan(start_lsn, [&](LogRecord&& rec) {
+    if (!in_scope(rec)) return Status::OK();
+    if (use_identity_seeds && rec.IsIdentityWrite() &&
+        rec.writeset.size() == 1) {
+      seeds[rec.writeset[0]] = tail.size();
+    }
+    tail.push_back(std::move(rec));
+    return Status::OK();
+  }));
 
   // The per-record apply core is shared with the standby applier
   // (recovery/log_applier.h); this function contributes the seeding pass
@@ -56,23 +54,22 @@ Result<RedoReport> RunRedoRange(const LogManager& log,
   LogApplier applier(registry, target);
 
   // Apply seeds newer than the stored page.
-  for (const auto& [id, seed] : seeds) {
+  for (const auto& [id, pos] : seeds) {
     bool seeded = false;
-    LLB_RETURN_IF_ERROR(applier.SeedPage(id, seed.value, seed.lsn, &seeded));
+    LLB_RETURN_IF_ERROR(
+        applier.SeedPage(id, tail[pos].payload, tail[pos].lsn, &seeded));
     if (seeded) ++report.pages_seeded;
   }
 
-  // Pass 2: replay with the per-target LSN test.
-  Status scan_status = log.Scan(start_lsn, [&](const LogRecord& rec) {
-    if (!in_scope(rec)) return Status::OK();
+  // Replay pass, with the per-target LSN test.
+  for (const LogRecord& rec : tail) {
     ++report.records_scanned;
-    if (rec.IsCheckpoint()) return Status::OK();
-    // Identity records: consumed in pass 1 when seeding; applied in-order
-    // like physical blind writes when re-executing from scratch.
-    if (rec.IsIdentityWrite() && use_identity_seeds) return Status::OK();
-    return applier.Apply(rec);
-  });
-  LLB_RETURN_IF_ERROR(scan_status);
+    if (rec.IsCheckpoint()) continue;
+    // Identity records: consumed by seeding; applied in-order like
+    // physical blind writes when re-executing from scratch.
+    if (rec.IsIdentityWrite() && use_identity_seeds) continue;
+    LLB_RETURN_IF_ERROR(applier.Apply(rec));
+  }
 
   LLB_RETURN_IF_ERROR(applier.Flush());
   report.ops_replayed = applier.stats().records_applied;

@@ -21,9 +21,9 @@ struct RedoReport {
 };
 
 /// Redo recovery over `target` (the stable database, or a restored
-/// backup during media recovery), scanning the log from `start_lsn`.
-///
-/// Two passes:
+/// backup during media recovery), from `start_lsn`. The log is read once:
+/// the log index seeks to `start_lsn`, only the tail from there is read
+/// and decoded, and two passes run over those decoded records:
 ///
 ///  1. *Seeding* — collect the last identity write W_IP(X, log(X)) of
 ///     every object. Identity values are exactly the mechanism of
@@ -37,7 +37,7 @@ struct RedoReport {
 ///     are NOT seeded — they replay in order, letting earlier operations
 ///     regenerate the intermediate values their readers need.)
 ///
-///  2. *Replay* — scan records in LSN order; an operation is replayed if
+///  2. *Replay* — visit records in LSN order; an operation is replayed if
 ///     any of its writeset pages has a lower LSN than the record (the
 ///     LSN-based redo test, per target). Its apply function recomputes
 ///     all writes from the current images of its readset; only stale

@@ -103,15 +103,14 @@ Status StandbyApplier::Drain() {
     if (frame.first_lsn == next) {
       segment.bytes = std::move(frame.bytes);
     } else {
-      Slice cursor(frame.bytes);
-      LogRecord rec;
-      while (!cursor.empty()) {
-        if (!LogRecord::DecodeFrom(&cursor, &rec).ok()) {
-          bad = true;
-          break;
+      LogFrameReader records_in{Slice(frame.bytes)};
+      LogFrame record;
+      while (records_in.Next(&record)) {
+        if (record.lsn >= next) {
+          segment.bytes.append(record.bytes.data(), record.bytes.size());
         }
-        if (rec.lsn >= next) rec.EncodeTo(&segment.bytes);
       }
+      bad = !records_in.status().ok();
     }
 
     std::vector<LogRecord> records;

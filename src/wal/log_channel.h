@@ -26,6 +26,7 @@ class LogChannel {
     Epoch epoch = kInvalidEpoch;
     Lsn lsn = kInvalidLsn;
     bool identity = false;
+    Lsn checkpoint_redo_start = kInvalidLsn;  // see CheckpointRedoStart()
     std::string bytes;
   };
 
@@ -38,6 +39,7 @@ class LogChannel {
     p.epoch = epoch;
     p.lsn = record.lsn;
     p.identity = record.IsIdentityWrite();
+    p.checkpoint_redo_start = record.CheckpointRedoStart();
     record.EncodeTo(&p.bytes);
     pending_.push_back(std::move(p));
   }

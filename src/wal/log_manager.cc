@@ -2,8 +2,39 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 namespace llb {
+
+namespace {
+
+constexpr Lsn kMaxLsn = std::numeric_limits<Lsn>::max();
+
+}  // namespace
+
+LogIndex::Entry LogIndex::Seek(Lsn lsn) const {
+  auto after = std::upper_bound(
+      entries_.begin(), entries_.end(), lsn,
+      [](Lsn value, const Entry& entry) { return value < entry.lsn; });
+  return after == entries_.begin() ? Entry{} : *std::prev(after);
+}
+
+LogManager::Layout LogManager::WalkLog(Slice image, Lsn stop_after) {
+  Layout layout;
+  LogFrameReader frames(image);
+  LogFrame frame;
+  LogRecord checkpoint;
+  while (frames.Next(&frame) && frame.lsn <= stop_after) {
+    layout.index.Add(frame.lsn, frame.bytes.data() - image.data());
+    layout.last_lsn = std::max(layout.last_lsn, frame.lsn);
+    layout.valid_bytes = frames.offset();
+    if (frame.op_code == kOpCheckpoint && frame.Decode(&checkpoint).ok() &&
+        checkpoint.CheckpointRedoStart() != kInvalidLsn) {
+      layout.checkpoint_redo_start = checkpoint.CheckpointRedoStart();
+    }
+  }
+  return layout;
+}
 
 Result<std::unique_ptr<LogManager>> LogManager::Open(Env* env,
                                                      const std::string& name,
@@ -12,29 +43,29 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(Env* env,
   LLB_ASSIGN_OR_RETURN(std::shared_ptr<File> file,
                        env->OpenFile(name, /*create=*/true));
 
-  // Find the next LSN by scanning the durable records.
-  Lsn next = 1;
-  {
-    LogReader reader(file);
-    LLB_RETURN_IF_ERROR(reader.Init());
-    LogRecord rec;
-    while (reader.Next(&rec)) {
-      if (rec.lsn >= next) next = rec.lsn + 1;
-    }
-  }
-  return std::unique_ptr<LogManager>(
-      new LogManager(env, name, std::move(file), next, options));
+  // One CRC walk over the durable frames finds the next LSN, the newest
+  // checkpoint and the index entries; only checkpoints are decoded.
+  LLB_ASSIGN_OR_RETURN(uint64_t size, file->Size());
+  std::string image;
+  LLB_RETURN_IF_ERROR(file->ReadAt(0, size, &image));
+  Layout layout = WalkLog(Slice(image), kMaxLsn);
+  return std::unique_ptr<LogManager>(new LogManager(
+      env, name, std::move(file), std::move(layout), size, options));
 }
 
 LogManager::LogManager(Env* env, std::string name, std::shared_ptr<File> file,
-                       Lsn next_lsn, LogManagerOptions options)
+                       Layout layout, uint64_t file_end,
+                       LogManagerOptions options)
     : env_(env),
       name_(std::move(name)),
       options_(options),
       file_(std::move(file)),
       writer_(file_),
-      durable_lsn_(next_lsn - 1),
-      next_lsn_(next_lsn) {
+      durable_lsn_(layout.last_lsn),
+      index_(std::move(layout.index)),
+      file_end_(file_end),
+      checkpoint_redo_start_(layout.checkpoint_redo_start),
+      next_lsn_(layout.last_lsn + 1) {
   if (options_.channels > 1) {
     channels_.reserve(options_.channels);
     for (uint32_t i = 0; i < options_.channels; ++i) {
@@ -77,13 +108,8 @@ Lsn LogManager::Append(LogRecord* record, Epoch* epoch_out) {
     writer_.Add(*record);
     if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = record->lsn;
     last_appended_ = record->lsn;
-    size_t encoded = record->EncodedSize();
-    ++stats_.records;
-    stats_.bytes += encoded;
-    if (record->IsIdentityWrite()) {
-      ++stats_.identity_records;
-      stats_.identity_bytes += encoded;
-    }
+    NoteAppendLocked(record->EncodedSize(), record->IsIdentityWrite(),
+                     record->CheckpointRedoStart());
     return record->lsn;
   }
 
@@ -159,16 +185,11 @@ Status LogManager::GroupCommitLocked() {
       return Status::Internal("group commit: merge does not reach epoch tail");
     }
     for (const LogChannel::Pending& entry : entries) {
-      size_t encoded = entry.bytes.size();
       writer_.AddRaw(Slice(entry.bytes));
       if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = entry.lsn;
       last_appended_ = entry.lsn;
-      ++stats_.records;
-      stats_.bytes += encoded;
-      if (entry.identity) {
-        ++stats_.identity_records;
-        stats_.identity_bytes += encoded;
-      }
+      NoteAppendLocked(entry.bytes.size(), entry.identity,
+                       entry.checkpoint_redo_start);
     }
   }
   LLB_RETURN_IF_ERROR(SealLocked(sealed));
@@ -235,9 +256,33 @@ void LogManager::AdvancerLoop() {
   }
 }
 
+void LogManager::NoteAppendLocked(size_t encoded, bool identity,
+                                  Lsn checkpoint_redo_start) {
+  ++stats_.records;
+  stats_.bytes += encoded;
+  if (identity) {
+    ++stats_.identity_records;
+    stats_.identity_bytes += encoded;
+  }
+  if (checkpoint_redo_start != kInvalidLsn) {
+    unsealed_checkpoint_ = checkpoint_redo_start;
+  }
+}
+
 Status LogManager::SealLocked(Epoch sealed_epoch) {
   std::string sealed;
-  LLB_RETURN_IF_ERROR(writer_.Force(&sealed));
+  const uint64_t at = file_end_;
+  Status forced = writer_.Force(&sealed);
+  // The writer hands back the bytes it appended even when the sync then
+  // failed: they are in the file, and the next successful sync covers
+  // them.
+  file_end_ += sealed.size();
+  if (!sealed.empty()) index_.Add(LogFrame::PeekLsn(Slice(sealed)), at);
+  LLB_RETURN_IF_ERROR(forced);
+  if (unsealed_checkpoint_ != kInvalidLsn) {
+    checkpoint_redo_start_ = unsealed_checkpoint_;
+    unsealed_checkpoint_ = kInvalidLsn;
+  }
   if (last_appended_ != kInvalidLsn) durable_lsn_ = last_appended_;
   if (!sealed.empty()) {
     SealedSegment segment;
@@ -302,31 +347,32 @@ Status LogManager::AppendSealed(const SealedSegment& segment,
   // Validate before buffering: framing + CRC, and LSNs dense over
   // [first_lsn, last_lsn]. A torn or rotten segment is rejected whole.
   std::vector<LogRecord> records;
-  Slice cursor(segment.bytes);
+  std::vector<size_t> encoded;
+  LogFrameReader frames{Slice(segment.bytes)};
+  LogFrame frame;
   Lsn expect = segment.first_lsn;
-  while (!cursor.empty()) {
-    LogRecord rec;
-    Status s = LogRecord::DecodeFrom(&cursor, &rec);
-    if (!s.ok()) return Status::Corruption("sealed segment: " + s.ToString());
-    if (rec.lsn != expect) {
+  while (frames.Next(&frame)) {
+    if (frame.lsn != expect) {
       return Status::Corruption("sealed segment LSNs not dense");
     }
     ++expect;
+    LogRecord rec;
+    Status s = frame.Decode(&rec);
+    if (!s.ok()) return Status::Corruption("sealed segment: " + s.ToString());
     records.push_back(std::move(rec));
+    encoded.push_back(frame.bytes.size());
+  }
+  if (!frames.status().ok()) {
+    return Status::Corruption("sealed segment: " + frames.status().ToString());
   }
   if (records.empty() || records.back().lsn != segment.last_lsn) {
     return Status::Corruption("sealed segment does not end at last_lsn");
   }
   writer_.AddRaw(Slice(segment.bytes));
   if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = segment.first_lsn;
-  for (const LogRecord& rec : records) {
-    size_t encoded = rec.EncodedSize();
-    ++stats_.records;
-    stats_.bytes += encoded;
-    if (rec.IsIdentityWrite()) {
-      ++stats_.identity_records;
-      stats_.identity_bytes += encoded;
-    }
+  for (size_t i = 0; i < records.size(); ++i) {
+    NoteAppendLocked(encoded[i], records[i].IsIdentityWrite(),
+                     records[i].CheckpointRedoStart());
   }
   {
     std::lock_guard<std::mutex> issue(issue_mu_);
@@ -355,17 +401,45 @@ Lsn LogManager::durable_lsn() const {
   return durable_lsn_;
 }
 
-Status LogManager::Scan(
-    Lsn start_lsn, const std::function<Status(const LogRecord&)>& fn) const {
+Lsn LogManager::first_lsn() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return index_.FirstLsn();
+}
+
+Lsn LogManager::checkpoint_redo_start() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return checkpoint_redo_start_;
+}
+
+Status LogManager::Scan(Lsn start_lsn,
+                        const std::function<Status(LogRecord&&)>& fn) const {
   // Readers take their own snapshot of the durable contents; no lock held
   // during the scan so recovery can read while nothing else is running and
   // benches can scan concurrently with appends (they see a prefix).
-  LogReader reader(file_);
-  LLB_RETURN_IF_ERROR(reader.Init());
+  LogIndex::Entry from;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    from = index_.Seek(start_lsn);
+  }
+  LLB_ASSIGN_OR_RETURN(uint64_t size, file_->Size());
+  std::string tail;
+  if (from.offset <= size) {
+    LLB_RETURN_IF_ERROR(file_->ReadAt(from.offset, size - from.offset, &tail));
+  }
+  LogFrame frame;
+  if (from.offset != 0 &&
+      !(LogFrame::Parse(Slice(tail), &frame).ok() && frame.lsn == from.lsn)) {
+    // A truncation rewrote the file after the index lookup: the entry no
+    // longer names the bytes it points at, so read from the start.
+    LLB_RETURN_IF_ERROR(file_->ReadAt(0, size, &tail));
+  }
+  LogFrameReader frames{Slice(tail)};
   LogRecord rec;
-  while (reader.Next(&rec)) {
-    if (rec.lsn < start_lsn) continue;
-    LLB_RETURN_IF_ERROR(fn(rec));
+  while (frames.Next(&frame)) {
+    if (frame.lsn < start_lsn) continue;
+    // A CRC-clean frame with a malformed body ends the log like a torn one.
+    if (!frame.Decode(&rec).ok()) break;
+    LLB_RETURN_IF_ERROR(fn(std::move(rec)));
   }
   return Status::OK();
 }
@@ -393,24 +467,47 @@ Status LogManager::TruncatePrefix(Lsn keep_from) {
   // reach the seal observer (a shipper must not lose them).
   LLB_RETURN_IF_ERROR(SealLocked(kInvalidEpoch));
 
+  // Only the kept suffix is read: the index finds the stride it starts in.
   LLB_ASSIGN_OR_RETURN(uint64_t size, file_->Size());
-  std::string contents;
-  LLB_RETURN_IF_ERROR(file_->ReadAt(0, size, &contents));
+  const uint64_t from = std::min(index_.Seek(keep_from).offset, size);
+  std::string tail;
+  LLB_RETURN_IF_ERROR(file_->ReadAt(from, size - from, &tail));
+  LogFrameReader frames{Slice(tail)};
+  LogFrame frame;
+  size_t cut = 0;
+  while (frames.Next(&frame) && frame.lsn < keep_from) cut = frames.offset();
+  // Walking the kept frames also rebuilds the index for the new file.
+  Layout layout = WalkLog(Slice(tail.data() + cut, tail.size() - cut), kMaxLsn);
+  Slice kept(tail.data() + cut, layout.valid_bytes);
 
-  std::string kept;
-  Slice cursor(contents);
-  LogRecord rec;
-  while (!cursor.empty()) {
-    const char* record_start = cursor.data();
-    size_t before = cursor.size();
-    if (!LogRecord::DecodeFrom(&cursor, &rec).ok()) break;
-    if (rec.lsn >= keep_from) {
-      kept.append(record_start, before - cursor.size());
-    }
-  }
   LLB_RETURN_IF_ERROR(file_->Truncate(0));
-  LLB_RETURN_IF_ERROR(file_->WriteAt(0, Slice(kept)));
-  return file_->Sync();
+  LLB_RETURN_IF_ERROR(file_->WriteAt(0, kept));
+  LLB_RETURN_IF_ERROR(file_->Sync());
+  index_ = std::move(layout.index);
+  file_end_ = kept.size();
+  checkpoint_redo_start_ = layout.checkpoint_redo_start;
+  return Status::OK();
+}
+
+Status LogManager::TruncateAfter(Lsn last_kept) {
+  std::lock_guard<std::mutex> lock(mu_);
+
+  // The kept prefix is walked whole: the newest checkpoint it holds may
+  // sit anywhere in it.
+  LLB_ASSIGN_OR_RETURN(uint64_t size, file_->Size());
+  std::string image;
+  LLB_RETURN_IF_ERROR(file_->ReadAt(0, size, &image));
+  Layout layout = WalkLog(Slice(image), last_kept);
+  LLB_RETURN_IF_ERROR(file_->Truncate(layout.valid_bytes));
+  LLB_RETURN_IF_ERROR(file_->Sync());
+  index_ = std::move(layout.index);
+  file_end_ = layout.valid_bytes;
+  checkpoint_redo_start_ = layout.checkpoint_redo_start;
+  durable_lsn_ = layout.last_lsn;
+  last_appended_ = layout.last_lsn;
+  std::lock_guard<std::mutex> issue(issue_mu_);
+  next_lsn_ = layout.last_lsn + 1;
+  return Status::OK();
 }
 
 }  // namespace llb

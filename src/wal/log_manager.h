@@ -15,7 +15,6 @@
 #include "common/status.h"
 #include "io/env.h"
 #include "wal/log_channel.h"
-#include "wal/log_reader.h"
 #include "wal/log_record.h"
 #include "wal/log_writer.h"
 
@@ -46,6 +45,43 @@ struct SealedSegment {
   Lsn first_lsn = kInvalidLsn;
   Lsn last_lsn = kInvalidLsn;
   std::string bytes;  // framed records, appendable to another log verbatim
+};
+
+/// Sparse in-memory LSN -> byte-offset index over the log file (DESIGN.md
+/// §3, "Log index"). An entry (lsn, offset) means the record with that
+/// LSN starts at byte `offset`. Entries ascend in both fields and sit at
+/// least kStride bytes apart, so a scan seeks to within one stride of its
+/// start LSN and the index holds one entry per stride of log.
+class LogIndex {
+ public:
+  struct Entry {
+    Lsn lsn = kInvalidLsn;
+    uint64_t offset = 0;
+  };
+
+  static constexpr uint64_t kStride = 16 << 10;
+
+  /// Records that `lsn` starts at byte `offset`, if that opens a new
+  /// stride. Callers add in file order.
+  void Add(Lsn lsn, uint64_t offset) {
+    if (entries_.empty() || offset >= entries_.back().offset + kStride) {
+      entries_.push_back(Entry{lsn, offset});
+    }
+  }
+
+  /// The last entry with lsn <= `lsn`; {kInvalidLsn, 0} (the file start)
+  /// when there is none.
+  Entry Seek(Lsn lsn) const;
+
+  /// The LSN of the record at byte 0, kInvalidLsn if none is indexed.
+  Lsn FirstLsn() const {
+    return !entries_.empty() && entries_.front().offset == 0
+               ? entries_.front().lsn
+               : kInvalidLsn;
+  }
+
+ private:
+  std::vector<Entry> entries_;
 };
 
 /// Tuning knobs for the WAL append path.
@@ -168,10 +204,22 @@ class LogManager {
   /// Highest LSN known durable (<= last appended).
   Lsn durable_lsn() const;
 
-  /// Scans durable records with lsn >= start_lsn in order. The callback
-  /// may return non-OK to abort the scan.
+  /// LSN of the first record in the log file, kInvalidLsn when empty.
+  /// Above 1 once TruncatePrefix discarded the head of the log.
+  Lsn first_lsn() const;
+
+  /// The crash-redo scan start recorded by the newest durable checkpoint
+  /// record, or 1 when there is none. A checkpoint counts once the force
+  /// that seals it succeeded, not when it is appended.
+  Lsn checkpoint_redo_start() const;
+
+  /// Scans durable records with lsn >= start_lsn in order, every one
+  /// CRC-verified, stopping at a torn tail. Only the log from the index
+  /// entry at or before start_lsn is read and decoded. The callback gets
+  /// each record as an rvalue (it may move from it) and may return non-OK
+  /// to abort the scan.
   Status Scan(Lsn start_lsn,
-              const std::function<Status(const LogRecord&)>& fn) const;
+              const std::function<Status(LogRecord&&)>& fn) const;
 
   LogStats stats() const;
 
@@ -186,9 +234,32 @@ class LogManager {
   /// flushing does", paper 3.2).
   Status TruncatePrefix(Lsn keep_from);
 
+  /// Physically discards all records with lsn > last_kept, so crash
+  /// recovery cannot replay a suffix a point-in-time restore excluded.
+  /// The log must be idle, with nothing appended since the last force;
+  /// LSNs then continue from the new tail.
+  Status TruncateAfter(Lsn last_kept);
+
  private:
+  /// What one CRC walk over a log file image finds. Only checkpoint
+  /// frames are decoded.
+  struct Layout {
+    LogIndex index;
+    Lsn last_lsn = kInvalidLsn;
+    Lsn checkpoint_redo_start = 1;
+    uint64_t valid_bytes = 0;  // length of the frames walked
+  };
+
+  /// Walks `image` from byte 0 up to a torn frame or the first record
+  /// past `stop_after`.
+  static Layout WalkLog(Slice image, Lsn stop_after);
+
   LogManager(Env* env, std::string name, std::shared_ptr<File> file,
-             Lsn next_lsn, LogManagerOptions options);
+             Layout layout, uint64_t file_end, LogManagerOptions options);
+
+  /// Counts one record added to the writer buffer. mu_ held.
+  void NoteAppendLocked(size_t encoded, bool identity,
+                        Lsn checkpoint_redo_start);
 
   /// Forces the writer and, if records were sealed, fires the observer.
   /// mu_ held by caller. Does not touch stats_.forces (TruncatePrefix's
@@ -224,6 +295,10 @@ class LogManager {
   uint64_t seal_seq_ = 0;
   Lsn seal_first_lsn_ = kInvalidLsn;  // first LSN buffered since last seal
   Epoch last_ingested_epoch_ = kInvalidEpoch;
+  LogIndex index_;
+  uint64_t file_end_;  // file bytes: where the next force appends
+  Lsn checkpoint_redo_start_;
+  Lsn unsealed_checkpoint_ = kInvalidLsn;  // appended, awaiting a force
 
   // (lsn, epoch) issuance — the only cross-channel append coordination.
   mutable std::mutex issue_mu_;

@@ -34,17 +34,34 @@ void LogRecord::EncodeTo(std::string* dst) const {
   dst->append(body);
 }
 
-Status LogRecord::DecodeFrom(Slice* input, LogRecord* out) {
-  if (input->size() < 8) return Status::NotFound("end of log");
-  uint32_t len = DecodeFixed32(input->data());
-  uint32_t masked_crc = DecodeFixed32(input->data() + 4);
-  if (input->size() < 8 + uint64_t{len}) return Status::NotFound("end of log");
-  Slice body(input->data() + 8, len);
+Lsn LogRecord::CheckpointRedoStart() const {
+  if (!IsCheckpoint() || payload.size() < 8) return kInvalidLsn;
+  return DecodeFixed64(payload.data());
+}
+
+Status LogFrame::Parse(Slice input, LogFrame* out) {
+  if (input.size() < 8) return Status::NotFound("end of log");
+  uint32_t len = DecodeFixed32(input.data());
+  uint32_t masked_crc = DecodeFixed32(input.data() + 4);
+  if (input.size() < 8 + uint64_t{len}) return Status::NotFound("end of log");
+  Slice body(input.data() + 8, len);
   if (crc32c::Unmask(masked_crc) != crc32c::Value(body.data(), len)) {
     return Status::Corruption("log record crc mismatch");
   }
-
   SliceReader reader(body);
+  if (!reader.ReadFixed64(&out->lsn) || !reader.ReadFixed16(&out->op_code)) {
+    return Status::Corruption("malformed log record");
+  }
+  out->bytes = Slice(input.data(), 8 + len);
+  return Status::OK();
+}
+
+Lsn LogFrame::PeekLsn(Slice framed) {
+  return framed.size() < 16 ? kInvalidLsn : DecodeFixed64(framed.data() + 8);
+}
+
+Status LogFrame::Decode(LogRecord* out) const {
+  SliceReader reader(Slice(bytes.data() + 8, bytes.size() - 8));
   uint32_t nread = 0, nwrite = 0;
   out->readset.clear();
   out->writeset.clear();
@@ -66,8 +83,15 @@ Status LogRecord::DecodeFrom(Slice* input, LogRecord* out) {
     out->writeset.push_back(id);
   }
   out->payload.assign(reader.rest().data(), reader.remaining());
-  input->RemovePrefix(8 + len);
   return Status::OK();
+}
+
+bool LogFrameReader::Next(LogFrame* frame) {
+  if (rest_.empty() || !status_.ok()) return false;
+  status_ = LogFrame::Parse(rest_, frame);
+  if (!status_.ok()) return false;
+  rest_.RemovePrefix(frame->bytes.size());
+  return true;
 }
 
 }  // namespace llb

@@ -86,10 +86,54 @@ struct LogRecord {
   /// Appends the framed encoding ([len][crc][body]) to *dst.
   void EncodeTo(std::string* dst) const;
 
-  /// Decodes one framed record from the front of *input, advancing it.
-  /// Returns Corruption on CRC/format mismatch and NotFound when input is
-  /// an incomplete tail (normal end of a crashed log).
-  static Status DecodeFrom(Slice* input, LogRecord* out);
+  /// The crash-redo scan start a checkpoint record carries; kInvalidLsn
+  /// for every other record.
+  Lsn CheckpointRedoStart() const;
+};
+
+/// One CRC-verified frame of a buffer of framed records, located in
+/// place: its LSN and op code are read without decoding the read/write
+/// sets or copying the payload.
+struct LogFrame {
+  Lsn lsn = kInvalidLsn;
+  uint16_t op_code = kOpInvalid;
+  Slice bytes;  // the whole frame: [len][crc][body]
+
+  /// Parses the frame at the front of `input`. Returns Corruption on
+  /// CRC/format mismatch and NotFound when input is an incomplete tail
+  /// (normal end of a crashed log).
+  static Status Parse(Slice input, LogFrame* out);
+
+  /// The LSN of the frame at the front of `framed`, read without a CRC
+  /// check: only for bytes this process framed itself.
+  static Lsn PeekLsn(Slice framed);
+
+  /// Decodes the record the frame carries.
+  Status Decode(LogRecord* out) const;
+};
+
+/// The log's one frame walker: steps through a buffer of framed records
+/// front to back and stops at the first incomplete or corrupt frame, the
+/// torn tail a crash leaves after the last successful force.
+class LogFrameReader {
+ public:
+  explicit LogFrameReader(Slice input) : input_(input), rest_(input) {}
+
+  /// Moves to the next frame; false at the end of the valid frames.
+  bool Next(LogFrame* frame);
+
+  /// Bytes walked so far. Once Next() returned false, the length of the
+  /// valid prefix.
+  size_t offset() const { return input_.size() - rest_.size(); }
+
+  /// Why the walk stopped: OK when every byte was a valid frame,
+  /// otherwise the error of the first bad frame.
+  const Status& status() const { return status_; }
+
+ private:
+  Slice input_;
+  Slice rest_;
+  Status status_;
 };
 
 }  // namespace llb

@@ -192,6 +192,53 @@ TEST_F(RedoTest, FindCrashRedoStartUsesLastCheckpoint) {
   Append(c2);
   ASSERT_OK_AND_ASSIGN(Lsn start, FindCrashRedoStart(*log_));
   EXPECT_EQ(start, 12u);
+
+  // Appended but not forced: not durable, so not reported.
+  LogRecord c3;
+  c3.op_code = kOpCheckpoint;
+  PutFixed64(&c3.payload, 20);
+  log_->Append(&c3);
+  ASSERT_OK_AND_ASSIGN(start, FindCrashRedoStart(*log_));
+  EXPECT_EQ(start, 12u);
+
+  // A crash loses the unforced checkpoint; the reopened log reports the
+  // last durable one.
+  log_.reset();
+  env_.CrashAndRestart();
+  ASSERT_OK_AND_ASSIGN(log_, LogManager::Open(&env_, "log"));
+  ASSERT_OK_AND_ASSIGN(start, FindCrashRedoStart(*log_));
+  EXPECT_EQ(start, 12u);
+
+  LogRecord c4;
+  c4.op_code = kOpCheckpoint;
+  PutFixed64(&c4.payload, 30);
+  Append(c4);
+  ASSERT_OK_AND_ASSIGN(start, FindCrashRedoStart(*log_));
+  EXPECT_EQ(start, 30u);
+  log_.reset();
+  env_.CrashAndRestart();
+  ASSERT_OK_AND_ASSIGN(log_, LogManager::Open(&env_, "log"));
+  ASSERT_OK_AND_ASSIGN(start, FindCrashRedoStart(*log_));
+  EXPECT_EQ(start, 30u);
+}
+
+// With channels, a checkpoint becomes durable at the group commit that
+// seals its epoch.
+TEST_F(RedoTest, FindCrashRedoStartWaitsForTheGroupCommit) {
+  LogManagerOptions options;
+  options.channels = 4;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env_, "grouped", options));
+  LogRecord ckpt;
+  ckpt.op_code = kOpCheckpoint;
+  PutFixed64(&ckpt.payload, 9);
+  Epoch epoch = kInvalidEpoch;
+  log->Append(&ckpt, &epoch);
+  ASSERT_OK_AND_ASSIGN(Lsn start, FindCrashRedoStart(*log));
+  EXPECT_EQ(start, 1u);
+  ASSERT_OK(log->WaitEpochDurable(epoch));
+  ASSERT_OK_AND_ASSIGN(start, FindCrashRedoStart(*log));
+  EXPECT_EQ(start, 9u);
 }
 
 TEST_F(RedoTest, EmptyLogIsANoOp) {

@@ -4,12 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "db/database.h"
 #include "sim/oracle.h"
+#include "wal/log_record.h"
 
 #define ASSERT_OK(expr)                                     \
   do {                                                      \
@@ -38,6 +41,27 @@ inline std::string Numbered(const char* prefix, int64_t n) {
   std::string out = prefix;
   out += std::to_string(n);
   return out;
+}
+
+/// Decodes a log file front to back with the log's frame walker: the
+/// records of the valid frames, up to the first torn or corrupt one.
+inline std::vector<LogRecord> ReadLogFile(const std::shared_ptr<File>& file) {
+  std::vector<LogRecord> records;
+  Result<uint64_t> size = file->Size();
+  EXPECT_TRUE(size.ok()) << size.status().ToString();
+  if (!size.ok()) return records;
+  std::string contents;
+  EXPECT_OK(file->ReadAt(0, *size, &contents));
+  LogFrameReader frames{Slice(contents)};
+  LogFrame frame;
+  while (frames.Next(&frame)) {
+    LogRecord rec;
+    EXPECT_OK(frame.Decode(&rec));
+    EXPECT_EQ(rec.lsn, frame.lsn);
+    EXPECT_EQ(rec.op_code, frame.op_code);
+    records.push_back(std::move(rec));
+  }
+  return records;
 }
 
 }  // namespace llb

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "common/random.h"
@@ -12,7 +13,6 @@
 #include "storage/page_store.h"
 #include "tests/test_util.h"
 #include "wal/log_manager.h"
-#include "wal/log_reader.h"
 
 namespace llb {
 namespace {
@@ -53,17 +53,25 @@ TEST_P(LogTruncationFuzz, AnyTruncationYieldsCleanPrefix) {
     ASSERT_OK(copy->Append(Slice(contents)));
     ASSERT_OK(copy->Sync());
 
-    LogReader reader(copy);
-    ASSERT_OK(reader.Init());
-    LogRecord rec;
     Lsn expected = 1;
-    while (reader.Next(&rec)) {
+    for (const LogRecord& rec : ReadLogFile(copy)) {
       // Records decode as an exact prefix, in order, intact.
       ASSERT_EQ(rec.lsn, expected);
       ASSERT_EQ(rec.op_code, kOpBtreeInsert);
       ++expected;
     }
     ASSERT_LE(expected - 1, uint64_t{kRecords});
+    // A log manager opened on the prefix scans exactly it, from anywhere.
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> reopened,
+                         LogManager::Open(&copy_env, "log"));
+    ASSERT_EQ(reopened->next_lsn(), expected);
+    Lsn start = 1 + rng.Uniform(kRecords + 1);
+    Lsn next = start;
+    ASSERT_OK(reopened->Scan(start, [&](const LogRecord& rec) {
+      EXPECT_EQ(rec.lsn, next++);
+      return Status::OK();
+    }));
+    ASSERT_EQ(next, std::max(start, expected));
   }
 }
 
@@ -95,11 +103,8 @@ TEST_P(LogTruncationFuzz, RandomByteFlipsNeverCrashTheReader) {
     ASSERT_OK(copy->Append(Slice(mutated)));
     ASSERT_OK(copy->Sync());
 
-    LogReader reader(copy);
-    ASSERT_OK(reader.Init());
-    LogRecord rec;
     Lsn last = 0;
-    while (reader.Next(&rec)) {
+    for (const LogRecord& rec : ReadLogFile(copy)) {
       // Whatever survives is CRC-clean and ordered.
       ASSERT_GT(rec.lsn, last);
       last = rec.lsn;

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/coding.h"
+#include "io/latency_env.h"
 #include "io/mem_env.h"
 #include "tests/test_util.h"
 #include "wal/log_manager.h"
-#include "wal/log_reader.h"
 #include "wal/log_record.h"
 #include "wal/log_writer.h"
 
@@ -28,15 +31,18 @@ TEST(LogRecordTest, EncodeDecodeRoundTrip) {
   rec.EncodeTo(&buf);
   EXPECT_EQ(buf.size(), rec.EncodedSize());
 
-  Slice input(buf);
+  LogFrame frame;
+  ASSERT_OK(LogFrame::Parse(Slice(buf), &frame));
+  EXPECT_EQ(frame.lsn, 42u);
+  EXPECT_EQ(frame.op_code, kOpBtreeInsert);
+  EXPECT_EQ(frame.bytes.size(), buf.size());
   LogRecord out;
-  ASSERT_OK(LogRecord::DecodeFrom(&input, &out));
+  ASSERT_OK(frame.Decode(&out));
   EXPECT_EQ(out.lsn, 42u);
   EXPECT_EQ(out.op_code, kOpBtreeInsert);
   EXPECT_EQ(out.readset, rec.readset);
   EXPECT_EQ(out.writeset, rec.writeset);
   EXPECT_EQ(out.payload, "payload-bytes");
-  EXPECT_TRUE(input.empty());
 }
 
 TEST(LogRecordTest, EmptySetsAndPayload) {
@@ -45,9 +51,10 @@ TEST(LogRecordTest, EmptySetsAndPayload) {
   rec.op_code = kOpCheckpoint;
   std::string buf;
   rec.EncodeTo(&buf);
-  Slice input(buf);
+  LogFrame frame;
+  ASSERT_OK(LogFrame::Parse(Slice(buf), &frame));
   LogRecord out;
-  ASSERT_OK(LogRecord::DecodeFrom(&input, &out));
+  ASSERT_OK(frame.Decode(&out));
   EXPECT_TRUE(out.readset.empty());
   EXPECT_TRUE(out.writeset.empty());
   EXPECT_TRUE(out.payload.empty());
@@ -58,9 +65,8 @@ TEST(LogRecordTest, TruncatedTailReportsEndOfLog) {
   std::string buf;
   rec.EncodeTo(&buf);
   buf.resize(buf.size() - 3);
-  Slice input(buf);
-  LogRecord out;
-  EXPECT_TRUE(LogRecord::DecodeFrom(&input, &out).IsNotFound());
+  LogFrame frame;
+  EXPECT_TRUE(LogFrame::Parse(Slice(buf), &frame).IsNotFound());
 }
 
 TEST(LogRecordTest, CorruptBodyReportsCorruption) {
@@ -68,9 +74,8 @@ TEST(LogRecordTest, CorruptBodyReportsCorruption) {
   std::string buf;
   rec.EncodeTo(&buf);
   buf[10] ^= 0x7F;
-  Slice input(buf);
-  LogRecord out;
-  EXPECT_TRUE(LogRecord::DecodeFrom(&input, &out).IsCorruption());
+  LogFrame frame;
+  EXPECT_TRUE(LogFrame::Parse(Slice(buf), &frame).IsCorruption());
 }
 
 TEST(LogRecordTest, ClassificationHelpers) {
@@ -92,11 +97,8 @@ TEST(LogWriterReaderTest, WriteForceRead) {
   for (Lsn i = 1; i <= 5; ++i) ASSERT_OK(writer.Add(SampleRecord(i)));
   ASSERT_OK(writer.Force());
 
-  LogReader reader(file);
-  ASSERT_OK(reader.Init());
-  LogRecord rec;
   Lsn expected = 1;
-  while (reader.Next(&rec)) {
+  for (const LogRecord& rec : ReadLogFile(file)) {
     EXPECT_EQ(rec.lsn, expected++);
   }
   EXPECT_EQ(expected, 6u);
@@ -112,12 +114,7 @@ TEST(LogWriterReaderTest, UnforcedRecordsInvisibleAfterCrash) {
   // no Force for record 2
   env.CrashAndRestart();
 
-  LogReader reader(file);
-  ASSERT_OK(reader.Init());
-  LogRecord rec;
-  int count = 0;
-  while (reader.Next(&rec)) ++count;
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(ReadLogFile(file).size(), 1u);
 }
 
 TEST(LogWriterReaderTest, ReaderStopsCleanlyAtTornTail) {
@@ -126,14 +123,22 @@ TEST(LogWriterReaderTest, ReaderStopsCleanlyAtTornTail) {
   LogWriter writer(file);
   ASSERT_OK(writer.Add(SampleRecord(1)));
   ASSERT_OK(writer.Force());
+  ASSERT_OK_AND_ASSIGN(uint64_t valid, file->Size());
   // Simulate a torn append: raw garbage after the valid record.
   ASSERT_OK(file->Append(Slice("\x40\x00\x00\x00garbage")));
-  LogReader reader(file);
-  ASSERT_OK(reader.Init());
-  LogRecord rec;
+  EXPECT_EQ(ReadLogFile(file).size(), 1u);
+
+  // The walker reports where and why it stopped.
+  std::string contents;
+  ASSERT_OK_AND_ASSIGN(uint64_t size, file->Size());
+  ASSERT_OK(file->ReadAt(0, size, &contents));
+  LogFrameReader frames{Slice(contents)};
+  LogFrame frame;
   int count = 0;
-  while (reader.Next(&rec)) ++count;
+  while (frames.Next(&frame)) ++count;
   EXPECT_EQ(count, 1);
+  EXPECT_EQ(frames.offset(), valid);
+  EXPECT_TRUE(frames.status().IsNotFound());
 }
 
 TEST(LogManagerTest, AssignsDenseLsns) {
@@ -222,6 +227,211 @@ TEST(LogManagerTest, ScanAbortsOnCallbackError) {
   });
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(calls, 1);
+}
+
+// --- Scan through the log index -------------------------------------------
+
+/// A record whose payload names its LSN, so a scan's output can be checked
+/// record by record. ~1.5 KB, so a few dozen seals span several strides.
+LogRecord Numbered1k(Lsn lsn) {
+  LogRecord rec;
+  rec.op_code = kOpBtreeInsert;
+  rec.writeset = {PageId{0, static_cast<uint32_t>(lsn % 64)}};
+  rec.payload = Numbered("record-", static_cast<int64_t>(lsn));
+  rec.payload.resize(1500, '.');
+  return rec;
+}
+
+/// Appends `seals` forces of 1 + i % 7 records each; returns the first LSN
+/// of every seal.
+std::vector<Lsn> AppendSeals(LogManager* log, int seals) {
+  std::vector<Lsn> firsts;
+  for (int i = 0; i < seals; ++i) {
+    for (int r = 0; r < 1 + i % 7; ++r) {
+      LogRecord rec = Numbered1k(log->next_lsn());
+      Lsn lsn = log->Append(&rec);
+      if (r == 0) firsts.push_back(lsn);
+    }
+    EXPECT_OK(log->Force());
+  }
+  return firsts;
+}
+
+std::vector<Lsn> ScanLsns(const LogManager& log, Lsn start) {
+  std::vector<Lsn> seen;
+  EXPECT_OK(log.Scan(start, [&](const LogRecord& rec) {
+    EXPECT_EQ(rec.payload, Numbered1k(rec.lsn).payload) << "lsn " << rec.lsn;
+    seen.push_back(rec.lsn);
+    return Status::OK();
+  }));
+  return seen;
+}
+
+std::vector<Lsn> Range(Lsn first, Lsn last) {
+  std::vector<Lsn> out;
+  for (Lsn lsn = first; lsn <= last; ++lsn) out.push_back(lsn);
+  return out;
+}
+
+enum class LogShape { kLive, kReopen, kTruncatePrefix, kStandby, kTornTail };
+
+constexpr LogShape kLogShapes[] = {LogShape::kLive, LogShape::kReopen,
+                                   LogShape::kTruncatePrefix,
+                                   LogShape::kStandby, LogShape::kTornTail};
+
+std::string ShapeName(LogShape shape) {
+  const char* const names[] = {"Live", "Reopen", "TruncatePrefix", "Standby",
+                               "TornTail"};
+  return names[static_cast<int>(shape)];
+}
+
+class LogScanTest
+    : public ::testing::TestWithParam<std::tuple<LogShape, uint32_t>> {};
+
+// Scan(start) returns exactly the records with lsn >= start, in order,
+// whichever way the index was built, for every kind of start position.
+TEST_P(LogScanTest, ReturnsExactlyTheRecordsFromStart) {
+  const auto [shape, channels] = GetParam();
+  MemEnv env;
+  LogManagerOptions options;
+  options.channels = channels;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log", options));
+  std::vector<SealedSegment> segments;
+  if (shape == LogShape::kStandby) {
+    log->SetSealObserver(
+        [&](const SealedSegment& seg) { segments.push_back(seg); });
+  }
+  std::vector<Lsn> seals = AppendSeals(log.get(), 40);
+  ASSERT_GE(seals.size(), 20u);
+  Lsn first = 1;
+  Lsn last = log->durable_lsn();
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<File> file, env.OpenFile("log", false));
+  ASSERT_OK_AND_ASSIGN(uint64_t size, file->Size());
+  ASSERT_GT(size, 4 * LogIndex::kStride);
+
+  switch (shape) {
+    case LogShape::kLive:
+      break;
+    case LogShape::kReopen: {
+      log.reset();
+      ASSERT_OK_AND_ASSIGN(log, LogManager::Open(&env, "log", options));
+      break;
+    }
+    case LogShape::kTruncatePrefix:
+      // Cut inside a seal, a few strides into the log.
+      first = seals[seals.size() / 2] + 1;
+      ASSERT_OK(log->TruncatePrefix(first));
+      break;
+    case LogShape::kStandby: {
+      ASSERT_OK_AND_ASSIGN(log, LogManager::Open(&env, "standby", options));
+      for (const SealedSegment& seg : segments) {
+        ASSERT_OK(log->AppendSealed(seg, nullptr));
+        ASSERT_OK(log->Force());
+      }
+      ASSERT_EQ(log->durable_lsn(), last);
+      break;
+    }
+    case LogShape::kTornTail: {
+      // Garbage past the last index entry: a CRC-broken whole frame, then
+      // a frame header promising more bytes than follow.
+      log.reset();
+      {
+        std::string torn;
+        Numbered1k(last + 1).EncodeTo(&torn);
+        torn[12] ^= 0x5A;
+        ASSERT_OK(file->Append(Slice(torn)));
+        std::string header;
+        PutFixed32(&header, 4000);
+        PutFixed32(&header, 0);
+        ASSERT_OK(file->Append(Slice(header)));
+      }
+      ASSERT_OK_AND_ASSIGN(log, LogManager::Open(&env, "log", options));
+      EXPECT_EQ(log->next_lsn(), last + 1);
+      break;
+    }
+  }
+
+  EXPECT_EQ(log->first_lsn(), first);
+  const Lsn mid = seals[seals.size() * 3 / 4];  // a seal boundary
+  ASSERT_GT(mid, first + 1);
+  for (Lsn start : {Lsn{0}, first - 1, first, mid, mid + 2, last - 1, last}) {
+    EXPECT_EQ(ScanLsns(*log, start), Range(std::max(start, first), last))
+        << ShapeName(shape) << " start " << start;
+  }
+  for (Lsn start : {last + 1, last + 1000}) {
+    EXPECT_TRUE(ScanLsns(*log, start).empty()) << "start " << start;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, LogScanTest,
+    ::testing::Combine(::testing::ValuesIn(kLogShapes),
+                       ::testing::Values(1u, 4u)),
+    [](const ::testing::TestParamInfo<LogScanTest::ParamType>& info) {
+      return ShapeName(std::get<0>(info.param)) + "_" +
+             Numbered("Channels", std::get<1>(info.param));
+    });
+
+// The gain itself: a scan near the tail reads the tail, not the file.
+TEST(LogScanBytesTest, ScanNearTailReadsUnderATenthOfTheLog) {
+  MemEnv base;
+  LatencyEnv env(&base, LatencyProfile{});
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    AppendSeals(log.get(), 200);
+  }
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<File> file, base.OpenFile("log", false));
+  ASSERT_OK_AND_ASSIGN(uint64_t size, file->Size());
+  // Indexed by Open's walk, then by seals of new records.
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  for (int round = 0; round < 2; ++round) {
+    const Lsn last = log->durable_lsn();
+    const uint64_t before = env.stats().bytes;
+    EXPECT_EQ(ScanLsns(*log, last - 3), Range(last - 3, last));
+    const uint64_t read = env.stats().bytes - before;
+    EXPECT_LT(read, size / 10) << "round " << round << ": read " << read
+                               << " of " << size << " bytes";
+    AppendSeals(log.get(), 20);
+  }
+}
+
+// A truncation of the tail leaves an index and checkpoint start that
+// match a fresh open of what remains.
+TEST(LogManagerTest, TruncateAfterCutsTheTailAndRebuildsTheIndex) {
+  MemEnv env;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  AppendSeals(log.get(), 30);
+  LogRecord ckpt1;
+  ckpt1.op_code = kOpCheckpoint;
+  PutFixed64(&ckpt1.payload, 5);
+  const Lsn cut = log->Append(&ckpt1);
+  AppendSeals(log.get(), 30);
+  LogRecord ckpt2;
+  ckpt2.op_code = kOpCheckpoint;
+  PutFixed64(&ckpt2.payload, cut + 3);
+  log->Append(&ckpt2);
+  ASSERT_OK(log->Force());
+  EXPECT_EQ(log->checkpoint_redo_start(), cut + 3);
+
+  ASSERT_OK(log->TruncateAfter(cut));
+  EXPECT_EQ(log->checkpoint_redo_start(), 5u);
+  EXPECT_EQ(log->durable_lsn(), cut);
+  EXPECT_EQ(log->next_lsn(), cut + 1);
+  std::vector<Lsn> seen;
+  ASSERT_OK(log->Scan(cut - 2, [&](const LogRecord& rec) {
+    seen.push_back(rec.lsn);
+    return Status::OK();
+  }));
+  EXPECT_EQ(seen, Range(cut - 2, cut));
+
+  log.reset();
+  ASSERT_OK_AND_ASSIGN(log, LogManager::Open(&env, "log"));
+  EXPECT_EQ(log->checkpoint_redo_start(), 5u);
+  EXPECT_EQ(log->next_lsn(), cut + 1);
 }
 
 }  // namespace
