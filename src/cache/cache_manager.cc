@@ -20,10 +20,42 @@ CacheManager::CacheManager(PageStore* stable, LogManager* log,
       tracker_(tracker),
       options_(options) {}
 
-void CacheManager::Touch(const PageId& id, Frame& frame) {
-  lru_.erase(frame.lru_pos);
-  lru_.push_front(id);
-  frame.lru_pos = lru_.begin();
+void CacheManager::Touch(Frame& frame) {
+  frame.tick = ++clock_;
+  std::list<Frame*>& list = ListOf(frame);
+  list.splice(list.begin(), list, frame.pos);
+}
+
+void CacheManager::SetDirty(Frame& frame) {
+  if (frame.dirty) return;
+  frame.dirty = true;
+  // Operations dirty the page they just touched: its slot is at the front.
+  auto at = dirty_.begin();
+  while (at != dirty_.end() && (*at)->tick > frame.tick) ++at;
+  dirty_.splice(at, clean_, frame.pos);
+}
+
+void CacheManager::SetClean(const std::vector<Frame*>& frames) {
+  std::list<Frame*> batch;
+  for (Frame* frame : frames) {
+    if (!frame->dirty) continue;
+    frame->dirty = false;
+    batch.splice(batch.end(), dirty_, frame->pos);
+  }
+  // An install touches every page it writes, so the batch lands at or
+  // near the front of clean_ and the merge stops early.
+  auto hotter = [](const Frame* a, const Frame* b) {
+    return a->tick > b->tick;
+  };
+  batch.sort(hotter);
+  clean_.merge(batch, hotter);
+}
+
+void CacheManager::Evict(Frame& frame) {
+  const PageId id = frame.id;
+  ListOf(frame).erase(frame.pos);
+  frames_.erase(id);
+  ++stats_.evictions;
 }
 
 void CacheManager::SetPageFaultHandler(
@@ -37,7 +69,7 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
   auto it = frames_.find(id);
   if (it != frames_.end()) {
     ++stats_.hits;
-    Touch(id, it->second);
+    Touch(it->second);
     *frame = &it->second;
     return Status::OK();
   }
@@ -51,33 +83,32 @@ Status CacheManager::GetFrame(std::unique_lock<std::mutex>& lk,
   LLB_RETURN_IF_ERROR(EnsureRoom(lk));
   Frame f;
   LLB_RETURN_IF_ERROR(stable_->ReadPage(id, &f.image));
-  lru_.push_front(id);
-  f.lru_pos = lru_.begin();
+  f.id = id;
   auto [pos, inserted] = frames_.emplace(id, std::move(f));
   *frame = &pos->second;
+  if (!inserted) {
+    // Another thread faulted the page in while eviction had mu_ released.
+    Touch(pos->second);
+    return Status::OK();
+  }
+  pos->second.tick = ++clock_;
+  clean_.push_front(&pos->second);
+  pos->second.pos = clean_.begin();
   return Status::OK();
 }
 
 Status CacheManager::EnsureRoom(std::unique_lock<std::mutex>& lk) {
   if (!Overlapped()) {
-    while (frames_.size() >= options_.capacity_pages && !lru_.empty()) {
+    while (frames_.size() >= options_.capacity_pages && !frames_.empty()) {
       // Prefer the least-recently-used clean page.
-      PageId victim = kInvalidPageId;
-      for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-        if (!frames_[*it].dirty) {
-          victim = *it;
-          break;
-        }
+      if (!clean_.empty()) {
+        Evict(*clean_.back());
+        continue;
       }
-      if (victim == kInvalidPageId) {
-        // All dirty: install the coldest page's node, then evict it.
-        victim = lru_.back();
-        LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim));
-      }
-      auto it = frames_.find(victim);
-      lru_.erase(it->second.lru_pos);
-      frames_.erase(it);
-      ++stats_.evictions;
+      // All dirty: install the coldest page's node, then evict it.
+      const PageId victim = dirty_.back()->id;
+      LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim));
+      Evict(frames_.at(victim));
     }
     return Status::OK();
   }
@@ -86,34 +117,24 @@ Status CacheManager::EnsureRoom(std::unique_lock<std::mutex>& lk) {
   // every round re-derives its facts, pinned frames are skipped, and a
   // fully-pinned cache tolerates a transient overrun instead of
   // deadlocking.
-  while (frames_.size() >= options_.capacity_pages && !lru_.empty()) {
-    PageId victim = kInvalidPageId;
-    bool victim_dirty = false;
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      Frame& f = frames_[*it];
-      if (f.pins > 0) continue;
-      if (!f.dirty) {
-        victim = *it;
-        victim_dirty = false;
-        break;
-      }
-      if (victim == kInvalidPageId) {
-        victim = *it;  // coldest unpinned page as the dirty fallback
-        victim_dirty = true;
-      }
+  auto coldest_unpinned = [](const std::list<Frame*>& list) -> Frame* {
+    for (auto it = list.rbegin(); it != list.rend(); ++it) {
+      if ((*it)->pins == 0) return *it;
     }
-    if (victim == kInvalidPageId) return Status::OK();  // everything pinned
-    if (victim_dirty) {
-      if (in_apply_) return Status::OK();  // never release mu_ mid-apply
-      LLB_RETURN_IF_ERROR(FlushPageLocked(lk, victim));
-      continue;  // the cache changed while unlocked: re-derive everything
+    return nullptr;
+  };
+  while (frames_.size() >= options_.capacity_pages) {
+    if (Frame* victim = coldest_unpinned(clean_)) {
+      Evict(*victim);
+      continue;
     }
-    auto it = frames_.find(victim);
-    if (it != frames_.end() && !it->second.dirty && it->second.pins == 0) {
-      lru_.erase(it->second.lru_pos);
-      frames_.erase(it);
-      ++stats_.evictions;
-    }
+    Frame* victim = coldest_unpinned(dirty_);
+    if (victim == nullptr) return Status::OK();  // everything pinned
+    if (in_apply_) return Status::OK();  // never release mu_ mid-apply
+    // The cache changes while the flush has mu_ released: re-derive
+    // everything next round.
+    const PageId id = victim->id;
+    LLB_RETURN_IF_ERROR(FlushPageLocked(lk, id));
   }
   return Status::OK();
 }
@@ -271,7 +292,7 @@ Status CacheManager::ExecuteOp(LogRecord* rec) {
     }
     frame->image = image;
     frame->image.set_lsn(lsn);
-    frame->dirty = true;
+    SetDirty(*frame);
   }
   graph_->OnOperation(*rec);
   ++stats_.ops_applied;
@@ -411,11 +432,14 @@ Status CacheManager::InstallUnitLocked(std::unique_lock<std::mutex>& lk,
   }
   LLB_RETURN_IF_ERROR(stable_->WriteBatchAtomic(batch));
 
+  std::vector<Frame*> cleaned;
+  cleaned.reserve(unit.vars.size());
   for (const PageId& x : unit.vars) {
     auto it = frames_.find(x);
-    if (it != frames_.end()) it->second.dirty = false;
+    if (it != frames_.end()) cleaned.push_back(&it->second);
     if (tracker_ != nullptr) tracker_->OnPageFlushed(x);
   }
+  SetClean(cleaned);
   graph_->MarkInstalled(unit.node_id);
   ++stats_.node_installs;
   stats_.pages_flushed += unit.vars.size();
@@ -488,7 +512,7 @@ Status CacheManager::InstallPlanOverlapped(
                                 x.ToString());
       }
       ++stats_.hits;
-      Touch(x, it->second);
+      Touch(it->second);
       Frame* frame = &it->second;
       LogRecord wip = MakeIdentityWrite(x, frame->image);
       Epoch epoch = kInvalidEpoch;
@@ -510,7 +534,7 @@ Status CacheManager::InstallPlanOverlapped(
                                 x.ToString());
       }
       ++stats_.hits;
-      Touch(x, it->second);
+      Touch(it->second);
       pi.batch.push_back(PageStore::Entry{x, it->second.image});
     }
     for (const PageId& x : unit.vars) installing_pages_.insert(x);
@@ -552,10 +576,11 @@ Status CacheManager::InstallPlanOverlapped(
     clear_marks();
     return s;
   }
+  std::vector<Frame*> cleaned;
   for (const PendingInstall& pi : pending) {
     for (const PageStore::Entry& entry : pi.batch) {
       auto it = frames_.find(entry.id);
-      if (it != frames_.end()) it->second.dirty = false;
+      if (it != frames_.end()) cleaned.push_back(&it->second);
       if (tracker_ != nullptr) tracker_->OnPageFlushed(entry.id);
       installing_pages_.erase(entry.id);
     }
@@ -565,6 +590,7 @@ Status CacheManager::InstallPlanOverlapped(
     ++stats_.node_installs;
     stats_.pages_flushed += pi.batch.size();
   }
+  SetClean(cleaned);
   install_cv_.notify_all();
   return Status::OK();
 }
@@ -630,18 +656,11 @@ Status CacheManager::FlushPage(const PageId& x) {
 
 Status CacheManager::FlushAll() {
   std::unique_lock<std::mutex> lock(mu_);
-  // Install until no dirty page remains. Installing one page's node can
-  // clean several pages, so re-scan each round.
-  while (true) {
-    PageId dirty = kInvalidPageId;
-    for (const auto& [id, frame] : frames_) {
-      if (frame.dirty) {
-        dirty = id;
-        break;
-      }
-    }
-    if (dirty == kInvalidPageId) break;
-    LLB_RETURN_IF_ERROR(FlushPageLocked(lock, dirty));
+  // Install the coldest dirty page's node until no dirty page remains;
+  // each install takes every page of its node off dirty_.
+  while (!dirty_.empty()) {
+    const PageId x = dirty_.back()->id;
+    LLB_RETURN_IF_ERROR(FlushPageLocked(lock, x));
   }
   return log_->Force();
 }
@@ -664,12 +683,12 @@ Lsn CacheManager::RedoStartLsn() const {
 
 Status CacheManager::DropCleanPages() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = frames_.begin(); it != frames_.end();) {
-    if (!it->second.dirty && it->second.pins == 0) {
-      lru_.erase(it->second.lru_pos);
-      it = frames_.erase(it);
-    } else {
-      ++it;
+  for (auto it = clean_.begin(); it != clean_.end();) {
+    Frame* frame = *it++;
+    if (frame->pins == 0) {
+      const PageId id = frame->id;
+      clean_.erase(frame->pos);
+      frames_.erase(id);
     }
   }
   return Status::OK();
@@ -699,6 +718,40 @@ bool CacheManager::IsDirty(const PageId& id) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = frames_.find(id);
   return it != frames_.end() && it->second.dirty;
+}
+
+bool CacheManager::IsCached(const PageId& id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return frames_.count(id) != 0;
+}
+
+Status CacheManager::CheckFrameLists() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (clean_.size() + dirty_.size() != frames_.size()) {
+    return Status::Internal("recency lists do not cover the frames");
+  }
+  for (const std::list<Frame*>* list : {&clean_, &dirty_}) {
+    const bool dirty = list == &dirty_;
+    uint64_t newer = UINT64_MAX;
+    for (auto it = list->begin(); it != list->end(); ++it) {
+      const Frame* frame = *it;
+      auto found = frames_.find(frame->id);
+      if (found == frames_.end() || &found->second != frame ||
+          frame->pos != it) {
+        return Status::Internal("stale list entry for " + frame->id.ToString());
+      }
+      if (frame->dirty != dirty) {
+        return Status::Internal("frame " + frame->id.ToString() +
+                                " is in the wrong recency list");
+      }
+      if (frame->tick >= newer) {
+        return Status::Internal("recency list out of touch order at " +
+                                frame->id.ToString());
+      }
+      newer = frame->tick;
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace llb

@@ -155,13 +155,20 @@ class CacheManager {
   const WriteGraph& graph() const { return *graph_; }
   size_t CachedPageCount() const;
   bool IsDirty(const PageId& id) const;
+  bool IsCached(const PageId& id) const;
+
+  /// Test hook: checks that every frame sits in exactly the recency list
+  /// its dirty flag names, and that both lists are ordered by last touch.
+  Status CheckFrameLists() const;
 
  private:
   struct Frame {
     PageImage image;
+    PageId id;
     bool dirty = false;
     uint32_t pins = 0;  // pinned frames are never evicted
-    std::list<PageId>::iterator lru_pos;
+    uint64_t tick = 0;  // clock_ value of the last touch
+    std::list<Frame*>::iterator pos;  // in dirty_ if dirty, else clean_
   };
 
   class CacheOpContext;
@@ -185,7 +192,18 @@ class CacheManager {
   /// re-acquired (mark clean/installed, wake waiters).
   Status InstallPlanOverlapped(std::unique_lock<std::mutex>& lk,
                                const std::vector<InstallUnit>& plan);
-  void Touch(const PageId& id, Frame& frame);
+
+  std::list<Frame*>& ListOf(const Frame& frame) {
+    return frame.dirty ? dirty_ : clean_;
+  }
+  /// Makes `frame` the most recent page of its list.
+  void Touch(Frame& frame);
+  /// The only writers of Frame::dirty: each moves the frame between the
+  /// recency lists at its last-touch position. SetClean takes a batch and
+  /// merges it into clean_ in one pass.
+  void SetDirty(Frame& frame);
+  void SetClean(const std::vector<Frame*>& frames);
+  void Evict(Frame& frame);
 
   /// Decides which vars of the unit need Iw/oF logging given backup
   /// progress (called with the partition backup latch held in share
@@ -205,7 +223,13 @@ class CacheManager {
   mutable std::mutex mu_;
   std::function<Status(const PageId&)> page_fault_handler_;
   std::unordered_map<PageId, Frame, PageIdHash> frames_;
-  std::list<PageId> lru_;  // front = most recent
+  // Recency lists over frames_, front = most recently touched: a frame is
+  // in dirty_ iff it is dirty. Eviction takes the coldest unpinned clean
+  // frame, else the coldest unpinned dirty one, without scanning past the
+  // dirty frames that collect at the cold end.
+  std::list<Frame*> clean_;
+  std::list<Frame*> dirty_;
+  uint64_t clock_ = 0;
   CacheStats stats_;
 
   // Overlapped-install bookkeeping (log channels > 1). While a plan is

@@ -49,6 +49,13 @@ Result<std::unique_ptr<LogManager>> LogManager::Open(Env* env,
   std::string image;
   LLB_RETURN_IF_ERROR(file->ReadAt(0, size, &image));
   Layout layout = WalkLog(Slice(image), kMaxLsn);
+  if (layout.valid_bytes < size) {
+    // Cut a torn or corrupt tail: the next force appends right after the
+    // last valid frame, where every later walk and scan can reach it.
+    LLB_RETURN_IF_ERROR(file->Truncate(layout.valid_bytes));
+    LLB_RETURN_IF_ERROR(file->Sync());
+    size = layout.valid_bytes;
+  }
   return std::unique_ptr<LogManager>(new LogManager(
       env, name, std::move(file), std::move(layout), size, options));
 }
@@ -105,11 +112,12 @@ Lsn LogManager::Append(LogRecord* record, Epoch* epoch_out) {
       record->lsn = next_lsn_++;
       if (epoch_out != nullptr) *epoch_out = open_epoch_;
     }
+    const uint64_t before = writer_.bytes_logged();
     writer_.Add(*record);
     if (seal_first_lsn_ == kInvalidLsn) seal_first_lsn_ = record->lsn;
     last_appended_ = record->lsn;
-    NoteAppendLocked(record->EncodedSize(), record->IsIdentityWrite(),
-                     record->CheckpointRedoStart());
+    NoteAppendLocked(writer_.bytes_logged() - before,
+                     record->IsIdentityWrite(), record->CheckpointRedoStart());
     return record->lsn;
   }
 
@@ -270,27 +278,35 @@ void LogManager::NoteAppendLocked(size_t encoded, bool identity,
 }
 
 Status LogManager::SealLocked(Epoch sealed_epoch) {
-  std::string sealed;
+  std::string appended;
   const uint64_t at = file_end_;
-  Status forced = writer_.Force(&sealed);
+  Status forced = writer_.Force(&appended);
   // The writer hands back the bytes it appended even when the sync then
-  // failed: they are in the file, and the next successful sync covers
-  // them.
-  file_end_ += sealed.size();
-  if (!sealed.empty()) index_.Add(LogFrame::PeekLsn(Slice(sealed)), at);
+  // failed: they are in the file, and the next successful sync seals
+  // them together with whatever it appends itself.
+  file_end_ += appended.size();
+  if (!appended.empty()) {
+    index_.Add(LogFrame::PeekLsn(Slice(appended)), at);
+    if (unsealed_.empty()) {
+      unsealed_ = std::move(appended);
+    } else {
+      unsealed_ += appended;
+    }
+  }
   LLB_RETURN_IF_ERROR(forced);
   if (unsealed_checkpoint_ != kInvalidLsn) {
     checkpoint_redo_start_ = unsealed_checkpoint_;
     unsealed_checkpoint_ = kInvalidLsn;
   }
   if (last_appended_ != kInvalidLsn) durable_lsn_ = last_appended_;
-  if (!sealed.empty()) {
+  if (!unsealed_.empty()) {
     SealedSegment segment;
     segment.seq = ++seal_seq_;
     segment.epoch = sealed_epoch;
     segment.first_lsn = seal_first_lsn_;
     segment.last_lsn = last_appended_;
-    segment.bytes = std::move(sealed);
+    segment.bytes = std::move(unsealed_);
+    unsealed_.clear();
     seal_first_lsn_ = kInvalidLsn;
     if (seal_observer_) seal_observer_(segment);
   }

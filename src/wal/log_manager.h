@@ -122,7 +122,8 @@ class LogManager {
   using SealObserver = std::function<void(const SealedSegment&)>;
 
   /// Opens (creating if needed) the log, scanning any existing durable
-  /// records to find the next LSN to assign.
+  /// records to find the next LSN to assign. A torn or corrupt tail is
+  /// cut off, so new records follow the last valid one.
   static Result<std::unique_ptr<LogManager>> Open(
       Env* env, const std::string& name, LogManagerOptions options = {});
 
@@ -294,6 +295,10 @@ class LogManager {
   SealObserver seal_observer_;
   uint64_t seal_seq_ = 0;
   Lsn seal_first_lsn_ = kInvalidLsn;  // first LSN buffered since last seal
+  // Bytes appended to the file by forces whose sync failed: the next
+  // successful seal delivers them, so every segment starts at
+  // seal_first_lsn_.
+  std::string unsealed_;
   Epoch last_ingested_epoch_ = kInvalidEpoch;
   LogIndex index_;
   uint64_t file_end_;  // file bytes: where the next force appends

@@ -20,12 +20,6 @@ void EncodeBody(const LogRecord& rec, std::string* body) {
 
 }  // namespace
 
-size_t LogRecord::EncodedSize() const {
-  std::string body;
-  EncodeBody(*this, &body);
-  return 8 + body.size();
-}
-
 void LogRecord::EncodeTo(std::string* dst) const {
   std::string body;
   EncodeBody(*this, &body);

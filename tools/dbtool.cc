@@ -185,10 +185,12 @@ int CmdLogStats(MemEnv* env, const std::string& log_name) {
       rows.emplace_back(rec.op_code, Row{});
       row = &rows.back().second;
     }
+    std::string encoded;
+    rec.EncodeTo(&encoded);
     row->count += 1;
-    row->bytes += rec.EncodedSize();
+    row->bytes += encoded.size();
     ++total;
-    total_bytes += rec.EncodedSize();
+    total_bytes += encoded.size();
     return Status::OK();
   });
   if (!s.ok()) {
