@@ -170,6 +170,18 @@ Status Database::Recover() {
 
 Status Database::Execute(LogRecord* rec) {
   LLB_RETURN_IF_ERROR(RequirePrimary("Execute"));
+  // Backups sweep, and restores rebuild, exactly the configured geometry;
+  // a record naming a page outside it would be lost to media recovery.
+  for (const std::vector<PageId>* set : {&rec->readset, &rec->writeset}) {
+    for (const PageId& id : *set) {
+      if (id.partition >= options_.partitions ||
+          id.page >= options_.pages_per_partition) {
+        return Status::InvalidArgument("operation names page " +
+                                       id.ToString() +
+                                       " outside the database geometry");
+      }
+    }
+  }
   return cache_->ExecuteOp(rec);
 }
 

@@ -144,6 +144,8 @@ class Database {
   Status Recover();
 
   /// Executes one logged operation (see CacheManager::ExecuteOp).
+  /// InvalidArgument when the record names a page outside the
+  /// partitions x pages_per_partition geometry.
   Status Execute(LogRecord* rec);
 
   /// Reads the current image of a page through the cache.

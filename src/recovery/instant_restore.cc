@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 
 #include "common/coding.h"
@@ -28,6 +27,93 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point since) {
 }
 
 }  // namespace
+
+Result<PageChains> PageChains::Build(const std::vector<LogRecord>& slice,
+                                     uint32_t partitions,
+                                     uint32_t pages_per_partition) {
+  PageChains chains;
+  chains.pages_per_partition = pages_per_partition;
+  chains.begin.assign(uint64_t{partitions} * pages_per_partition + 1, 0);
+  // Pass 1: validate every named page and count each page's writers into
+  // begin[index + 1]; the prefix sum turns the counts into offsets.
+  for (const LogRecord& rec : slice) {
+    for (const std::vector<PageId>* set : {&rec.readset, &rec.writeset}) {
+      for (const PageId& id : *set) {
+        if (id.partition >= partitions || id.page >= pages_per_partition) {
+          return Status::Corruption(
+              "media-recovery slice record at lsn " + std::to_string(rec.lsn) +
+              " names page " + id.ToString() + " outside the backup geometry");
+        }
+      }
+    }
+    for (const PageId& id : rec.writeset) ++chains.begin[chains.Index(id) + 1];
+  }
+  for (size_t i = 1; i < chains.begin.size(); ++i) {
+    chains.begin[i] += chains.begin[i - 1];
+  }
+  // Pass 2: place each record's position at its pages' fill cursors; the
+  // forward walk keeps every chain ascending.
+  chains.records.resize(chains.begin.back());
+  std::vector<size_t> fill(chains.begin.begin(), chains.begin.end() - 1);
+  for (size_t pos = 0; pos < slice.size(); ++pos) {
+    for (const PageId& id : slice[pos].writeset) {
+      chains.records[fill[chains.Index(id)]++] = pos;
+    }
+  }
+  return chains;
+}
+
+ClosurePlan PlanClosure(const std::vector<LogRecord>& slice,
+                        const PageChains& chains,
+                        const std::vector<PageId>& seeds) {
+  ClosurePlan plan;
+  std::vector<bool> in_closure(chains.begin.size() - 1, false);
+  std::vector<PageId> worklist;
+  auto add = [&](const PageId& id) {
+    uint64_t index = chains.Index(id);
+    if (in_closure[index]) return;
+    in_closure[index] = true;
+    plan.pages.push_back(id);
+    worklist.push_back(id);
+  };
+  for (const PageId& id : seeds) add(id);
+
+  // Every record writing a closure page sits on that page's chain, so the
+  // worklist reaches the same least fixpoint a pass-until-stable scan of
+  // the whole slice does, touching only the closure's history.
+  std::vector<size_t> visited;
+  while (!worklist.empty()) {
+    uint64_t index = chains.Index(worklist.back());
+    worklist.pop_back();
+    for (size_t k = chains.begin[index]; k < chains.begin[index + 1]; ++k) {
+      size_t pos = chains.records[k];
+      visited.push_back(pos);
+      for (const PageId& id : slice[pos].readset) add(id);
+      for (const PageId& id : slice[pos].writeset) add(id);
+    }
+  }
+  std::sort(plan.pages.begin(), plan.pages.end());
+  std::sort(visited.begin(), visited.end());
+  visited.erase(std::unique(visited.begin(), visited.end()), visited.end());
+
+  // The slice is in LSN order, so a chain's last identity write is the
+  // page's newest.
+  for (const PageId& id : plan.pages) {
+    uint64_t index = chains.Index(id);
+    size_t newest = slice.size();
+    for (size_t k = chains.begin[index]; k < chains.begin[index + 1]; ++k) {
+      const LogRecord& rec = slice[chains.records[k]];
+      if (rec.IsIdentityWrite() && rec.writeset.size() == 1) {
+        newest = chains.records[k];
+      }
+    }
+    if (newest != slice.size()) plan.identity_seeds.push_back(newest);
+  }
+  for (size_t pos : visited) {
+    if (!slice[pos].IsIdentityWrite()) plan.replay.push_back(pos);
+  }
+  return plan;
+}
 
 InstantRestorer::InstantRestorer(Env* env, std::string bitmap_name,
                                  std::string backup_name,
@@ -161,11 +247,13 @@ Status InstantRestorer::Init() {
         slice_.push_back(std::move(rec));
         return Status::OK();
       }));
+  LLB_ASSIGN_OR_RETURN(
+      chains_, PageChains::Build(slice_, partitions_, pages_per_partition_));
   return Status::OK();
 }
 
 void InstantRestorer::SetBitLocked(const PageId& id) {
-  uint64_t pos = BitIndex(id);
+  uint64_t pos = chains_.Index(id);
   uint8_t mask = static_cast<uint8_t>(1u << (pos & 7));
   if ((bits_[pos >> 3] & mask) == 0) {
     bits_[pos >> 3] |= mask;
@@ -192,36 +280,11 @@ Status InstantRestorer::RestoreClosureLocked(const std::vector<PageId>& seeds,
                                              uint64_t* installed) {
   *installed = 0;
 
-  // 1. Influence closure: fixpoint over the slice. One backward pass
-  //    catches later-record dependencies; iterating to fixpoint also
-  //    catches pages whose membership is established only by an earlier
-  //    record (so every replayed record's readset ends up inside the
-  //    closure — the property the restricted replay's soundness rests
-  //    on). Operations never span partitions, so the closure stays
-  //    within the seeds' partitions.
-  std::unordered_set<PageId, PageIdHash> closure(seeds.begin(), seeds.end());
-  bool grew = true;
-  while (grew) {
-    grew = false;
-    for (auto it = slice_.rbegin(); it != slice_.rend(); ++it) {
-      const LogRecord& rec = *it;
-      bool touches = false;
-      for (const PageId& t : rec.writeset) {
-        if (closure.count(t) != 0) {
-          touches = true;
-          break;
-        }
-      }
-      if (!touches) continue;
-      for (const std::vector<PageId>* set : {&rec.readset, &rec.writeset}) {
-        for (const PageId& id : *set) {
-          if (closure.insert(id).second) grew = true;
-        }
-      }
-    }
-  }
-  std::vector<PageId> pages(closure.begin(), closure.end());
-  std::sort(pages.begin(), pages.end());
+  // 1. Influence closure and its records, from the per-page chains.
+  //    Operations never span partitions, so the closure stays within the
+  //    seeds' partitions.
+  ClosurePlan closure = PlanClosure(slice_, chains_, seeds);
+  const std::vector<PageId>& pages = closure.pages;
 
   // 2. Scratch overlay: a private in-memory store seeded with the
   //    closure's newest-carrier images. Always fresh — mixing previously
@@ -247,44 +310,23 @@ Status InstantRestorer::RestoreClosureLocked(const std::vector<PageId>& seeds,
     LLB_RETURN_IF_ERROR(pipeline.Run(seed_plan, nullptr));
   }
 
-  // 3. Replay the slice restricted to records writing closure pages.
-  //    Mirrors RunRedoRange over a restored base: identity writes seed
-  //    (install-without-flush — an installed operation's effects may
-  //    exist only on the log), everything else replays in LSN order
-  //    under the per-target LSN test. Readsets are inside the closure by
-  //    the fixpoint, so every replay sees exactly the page states the
-  //    full offline replay would.
+  // 3. Replay the closure's records. Mirrors RunRedoRange over a
+  //    restored base: identity writes seed (install-without-flush — an
+  //    installed operation's effects may exist only on the log),
+  //    everything else replays in LSN order under the per-target LSN
+  //    test. Readsets are inside the closure by the fixpoint, so every
+  //    replay sees exactly the page states the full offline replay would.
   LogApplier applier(registry_, scratch.get());
-  struct IdentitySeed {
-    Lsn lsn = kInvalidLsn;
-    const std::string* value = nullptr;
-  };
-  std::unordered_map<PageId, IdentitySeed, PageIdHash> identity_seeds;
-  for (const LogRecord& rec : slice_) {
-    if (rec.IsIdentityWrite() && rec.writeset.size() == 1 &&
-        closure.count(rec.writeset[0]) != 0) {
-      IdentitySeed& seed = identity_seeds[rec.writeset[0]];
-      if (seed.value == nullptr || rec.lsn >= seed.lsn) {
-        seed = IdentitySeed{rec.lsn, &rec.payload};
-      }
-    }
+  for (size_t pos : closure.identity_seeds) {
+    const LogRecord& rec = slice_[pos];
+    LLB_RETURN_IF_ERROR(
+        applier.SeedPage(rec.writeset[0], rec.payload, rec.lsn, nullptr));
   }
-  for (const auto& [id, seed] : identity_seeds) {
-    LLB_RETURN_IF_ERROR(applier.SeedPage(id, *seed.value, seed.lsn, nullptr));
-  }
-  for (const LogRecord& rec : slice_) {
-    if (rec.IsIdentityWrite()) continue;
-    bool touches = false;
-    for (const PageId& t : rec.writeset) {
-      if (closure.count(t) != 0) {
-        touches = true;
-        break;
-      }
-    }
-    if (!touches) continue;
-    LLB_RETURN_IF_ERROR(applier.Apply(rec));
+  for (size_t pos : closure.replay) {
+    LLB_RETURN_IF_ERROR(applier.Apply(slice_[pos]));
   }
   LLB_RETURN_IF_ERROR(applier.Flush());
+  records_replayed_ += closure.identity_seeds.size() + closure.replay.size();
 
   // 4. Install into S only the closure pages still unrestored: a set bit
   //    means the live page may already be newer than the slice state
@@ -328,6 +370,7 @@ Status InstantRestorer::RestoreOnFault(const PageId& id) {
   faults_waiting_.fetch_add(1, std::memory_order_acq_rel);
   std::lock_guard<std::mutex> lock(mu_);
   faults_waiting_.fetch_sub(1, std::memory_order_acq_rel);
+  faults_admitted_.notify_all();
   if (TestBitLocked(id)) return Status::OK();
   uint64_t installed = 0;
   Status s = RestoreClosureLocked({id}, nullptr, &installed);
@@ -337,7 +380,10 @@ Status InstantRestorer::RestoreOnFault(const PageId& id) {
 }
 
 Result<uint64_t> InstantRestorer::Step() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  faults_admitted_.wait(lock, [this] {
+    return faults_waiting_.load(std::memory_order_acquire) == 0;
+  });
   const uint64_t max_pages = std::max<uint32_t>(1, options_.step_pages);
   std::vector<PageId> seeds;
   for (uint64_t pos = 0; pos < total_pages_ && seeds.size() < max_pages;
@@ -406,6 +452,8 @@ RestoreStatus InstantRestorer::status() const {
   s.closure_pages = closure_extra_pages_;
   s.sweep_pages = sweep_pages_;
   s.bitmap_saves = bitmap_saves_;
+  s.slice_records = slice_.size();
+  s.records_replayed = records_replayed_;
   s.recovery_tail = recovery_tail_;
   s.fraction = total_pages_ == 0
                    ? 1.0

@@ -2,12 +2,12 @@
 #define LLB_RECOVERY_INSTANT_RESTORE_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -37,6 +37,49 @@ struct InstantRestoreOptions {
   uint32_t step_pages = 64;
 };
 
+/// Per-page record chains over a media-recovery slice, in CSR form: the
+/// slice positions of the records writing the page with restored-bitmap
+/// index i are records[begin[i] .. begin[i + 1]), ascending. Built once
+/// from the immutable slice snapshot, so a closure walk reads only the
+/// history of the pages it visits.
+struct PageChains {
+  uint32_t pages_per_partition = 0;
+  std::vector<size_t> begin;    // total_pages + 1 offsets into records
+  std::vector<size_t> records;  // slice positions, ascending per page
+
+  /// Two counting passes over the slice. Corruption when a record names
+  /// a page outside the partitions x pages_per_partition geometry: no
+  /// backup covers it, and its index would alias another page's bit.
+  static Result<PageChains> Build(const std::vector<LogRecord>& slice,
+                                  uint32_t partitions,
+                                  uint32_t pages_per_partition);
+
+  uint64_t Index(const PageId& id) const {
+    return uint64_t{id.partition} * pages_per_partition + id.page;
+  }
+};
+
+/// What restoring one seed set does with the slice.
+struct ClosurePlan {
+  /// The influence closure, sorted: the least page set containing the
+  /// seeds such that every record writing one of its pages has its whole
+  /// readset and writeset inside it.
+  std::vector<PageId> pages;
+  /// Slice positions of the newest single-page identity write of each
+  /// closure page that has one, in page order.
+  std::vector<size_t> identity_seeds;
+  /// Slice positions of the non-identity records writing closure pages,
+  /// ascending (slice order).
+  std::vector<size_t> replay;
+};
+
+/// Plans a closure restore by a worklist over the closure pages' chains:
+/// each record on a visited page's chain adds its readset and writeset.
+/// Every seed must lie inside the chains' geometry.
+ClosurePlan PlanClosure(const std::vector<LogRecord>& slice,
+                        const PageChains& chains,
+                        const std::vector<PageId>& seeds);
+
 /// Progress snapshot of an in-flight instant restore.
 struct RestoreStatus {
   bool restoring = false;
@@ -52,6 +95,11 @@ struct RestoreStatus {
   /// Pages restored by the background sweep.
   uint64_t sweep_pages = 0;
   uint64_t bitmap_saves = 0;
+  /// Records in the media-recovery slice, and how many of them faults and
+  /// steps have applied so far (identity seeds plus replayed operations;
+  /// a record counts once per closure restore that applies it).
+  uint64_t slice_records = 0;
+  uint64_t records_replayed = 0;
   /// Log tail frozen at the first restoring open; the media-recovery
   /// slice replays through here, crash redo resumes after it.
   Lsn recovery_tail = kInvalidLsn;
@@ -85,18 +133,18 @@ struct RestoreStatus {
 ///  * A fault on page X cannot simply replay X's log records in
 ///    isolation: logical operations recompute their writes from readset
 ///    pages at historical states. Instead the restorer computes X's
-///    *influence closure* (fixpoint over the slice: any record writing a
-///    closure page contributes its whole readset and writeset), seeds
-///    the closure from the newest backup carriers into a private
-///    in-memory scratch overlay, replays the slice restricted to the
-///    closure (identity-seeded, LSN-tested — exactly RunRedoRange's
-///    semantics), and installs into S only the closure pages whose bit
-///    is still clear (set pages may already be newer than the slice
-///    state; they are never clobbered). Physical and physiological
-///    operations have singleton closures, so the common fault costs one
-///    carrier read plus a slice scan; the worst case degrades to
-///    restoring a partition's whole dependency web — never to wrong
-///    answers.
+///    *influence closure* (least fixpoint: any record writing a closure
+///    page contributes its whole readset and writeset) by walking the
+///    per-page record chains (PageChains), seeds the closure from the
+///    newest backup carriers into a private in-memory scratch overlay,
+///    replays the closure's records (identity-seeded, LSN-tested —
+///    exactly RunRedoRange's semantics), and installs into S only the
+///    closure pages whose bit is still clear (set pages may already be
+///    newer than the slice state; they are never clobbered). Physical
+///    and physiological operations have singleton closures, so the
+///    common fault costs one carrier read plus the replay of that page's
+///    own records; the worst case degrades to restoring a partition's
+///    whole dependency web — never to wrong answers.
 ///
 /// Thread-safety: RestoreOnFault runs under the cache mutex (as the
 /// cache's page-fault handler) and takes the restorer mutex; Step takes
@@ -105,6 +153,8 @@ struct RestoreStatus {
 /// that arrives while a background step holds the mutex raises
 /// `faults_waiting_`, which the step's TransferOptions::pause hook
 /// observes between runs, stopping the sweep early so the fault gets in.
+/// A step also waits for the count to reach zero before it starts, so a
+/// sweep loop cannot re-take the mutex ahead of the fault it yielded to.
 class InstantRestorer {
  public:
   static Result<std::unique_ptr<InstantRestorer>> Open(
@@ -166,11 +216,8 @@ class InstantRestorer {
   Status Init();
   Status SaveBitmapLocked();
 
-  uint64_t BitIndex(const PageId& id) const {
-    return uint64_t{id.partition} * pages_per_partition_ + id.page;
-  }
   bool TestBitLocked(const PageId& id) const {
-    uint64_t pos = BitIndex(id);
+    uint64_t pos = chains_.Index(id);
     return (bits_[pos >> 3] & (1u << (pos & 7))) != 0;
   }
   void SetBitLocked(const PageId& id);
@@ -203,20 +250,25 @@ class InstantRestorer {
   Lsn recovery_tail_ = kInvalidLsn;
   /// In-memory snapshot of the media-recovery slice
   /// [newest.start_lsn, recovery_tail], taken at Open before any new
-  /// appends. Closures and replays scan this, never the live log.
+  /// appends, and its per-page record chains. Closures and replays read
+  /// these, never the live log.
   std::vector<LogRecord> slice_;
+  PageChains chains_;
 
   /// Faults blocked on mu_ while a background step runs; the step's
-  /// pause hook polls this to yield.
+  /// pause hook polls this to yield, and a step starts only once it is
+  /// zero (signalled by faults_admitted_).
   std::atomic<uint32_t> faults_waiting_{0};
 
   mutable std::mutex mu_;
+  std::condition_variable faults_admitted_;
   std::vector<uint8_t> bits_;
   uint64_t restored_count_ = 0;
   uint64_t faulted_pages_ = 0;
   uint64_t closure_extra_pages_ = 0;
   uint64_t sweep_pages_ = 0;
   uint64_t bitmap_saves_ = 0;
+  uint64_t records_replayed_ = 0;
   uint64_t sweep_us_ = 0;
 };
 

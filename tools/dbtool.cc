@@ -15,7 +15,8 @@
 //                                           instant restore: serve reads
 //                                           while pages stream back in
 //   llb_dbtool restore status <image> <db>  progress of an interrupted
-//                                           instant restore (bitmap cell)
+//                                           instant restore (bitmap cell,
+//                                           slice size)
 //   llb_dbtool verify-backup <image> <bk>   scrub (read-only): checksums +
 //                                           manifest chain of a backup
 //   llb_dbtool scrub <image> <bk> <db>      verify + repair bad backup pages
@@ -631,6 +632,36 @@ int CmdRestoreStatus(MemEnv* env, const std::string& db_name) {
   printf("recovery tail: lsn %llu (reopen with 'restore --instant' or\n"
          "Database::OpenRestoring to resume)\n",
          static_cast<unsigned long long>(status_or->recovery_tail));
+
+  // The slice and the replay counter live in an open restorer; open one
+  // over the loaded image, which this command never saves back.
+  auto run = [&]() -> Status {
+    LLB_ASSIGN_OR_RETURN(BackupManifest manifest,
+                         BackupManifest::Load(env, backup));
+    LLB_ASSIGN_OR_RETURN(std::unique_ptr<LogManager> log,
+                         LogManager::Open(env, Database::LogName(db_name)));
+    LLB_ASSIGN_OR_RETURN(
+        std::unique_ptr<PageStore> stable,
+        PageStore::Open(env, Database::StableName(db_name),
+                        manifest.partitions));
+    OpRegistry registry;
+    RegisterAllOps(&registry);
+    LLB_ASSIGN_OR_RETURN(
+        std::unique_ptr<InstantRestorer> restorer,
+        InstantRestorer::Open(env, Database::RestoreBitmapName(db_name), backup,
+                              registry, stable.get(), log.get()));
+    RestoreStatus live = restorer->status();
+    printf("media-recovery slice: %llu records, %llu replayed by faults and "
+           "steps of this session\n",
+           static_cast<unsigned long long>(live.slice_records),
+           static_cast<unsigned long long>(live.records_replayed));
+    return Status::OK();
+  };
+  Status s = run();
+  if (!s.ok()) {
+    fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
   return 0;
 }
 
@@ -663,13 +694,16 @@ int CmdInstantRestore(MemEnv* env, const std::string& db_name,
     while (db->restoring()) {
       RestoreStatus st = db->restore_status();
       printf("  %llu/%llu pages (%.1f%%), %llu on demand "
-             "(%llu closure), %llu swept, eta %llu us\n",
+             "(%llu closure), %llu swept, %llu of %llu slice records "
+             "replayed, eta %llu us\n",
              static_cast<unsigned long long>(st.pages_restored),
              static_cast<unsigned long long>(st.pages_total),
              st.fraction * 100.0,
              static_cast<unsigned long long>(st.pages_faulted),
              static_cast<unsigned long long>(st.closure_pages),
              static_cast<unsigned long long>(st.sweep_pages),
+             static_cast<unsigned long long>(st.records_replayed),
+             static_cast<unsigned long long>(st.slice_records),
              static_cast<unsigned long long>(st.eta_us));
       LLB_ASSIGN_OR_RETURN(uint64_t moved, db->RestoreStep());
       (void)moved;
@@ -1089,7 +1123,8 @@ int Usage() {
           "      crash-resumable via the durable restored-bitmap\n"
           "  llb_dbtool restore status <image> [db=demo]\n"
           "      progress of an interrupted instant restore, decoded\n"
-          "      read-only from the restored-bitmap cell (<db>.rbm)\n"
+          "      read-only from the restored-bitmap cell (<db>.rbm),\n"
+          "      and the size of its media-recovery slice\n"
           "  llb_dbtool ship <image> [db=demo] [standby=<db>_sb]\n"
           "      [partitions=1] [pages=256]\n"
           "      replicate the primary's retained log into a warm\n"
